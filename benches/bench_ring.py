@@ -1,0 +1,119 @@
+"""Benchmark: the stratum sum (ring_sum) on one long blow-up chain.
+
+Builds random_config(3) and blows it up 160 times at non-exceptional
+on-divisor centers drawn with random.Random(1).  After 40, 80 and 160
+blow-ups it times invariant_sum (best of 3, caches cleared before each
+call) and, in one separate untimed call, counts the kernel work:
+pcyclo_mul calls and the monomials that the kernel ops put out.
+
+Run:  PYTHONPATH=src python3 benches/bench_ring.py [--out BENCH_ring.json]
+"""
+
+import argparse
+import json
+import os
+import platform
+import random
+import time
+
+import pvcalc._kernel as kernel
+import pvcalc.motring as motring
+from pvcalc.birational import blow_up, is_exceptional_center
+from pvcalc.models import candidate_centers, random_config
+from pvcalc.pvint import invariant_sum
+
+CHECKPOINTS = (40, 80, 160)
+COUNTED_OPS = ("pcyclo_mul", "pcyclo_div", "pmul", "padd")
+
+
+def chain_checkpoints():
+    rng = random.Random(1)
+    cfg = random_config(3)
+    out = {}
+    for step in range(1, CHECKPOINTS[-1] + 1):
+        centers = [c for c in candidate_centers(cfg)
+                   if not is_exceptional_center(cfg, c)]
+        cfg = blow_up(cfg, rng.choice(centers))
+        if step in CHECKPOINTS:
+            out[step] = cfg
+    return out
+
+
+def clear_caches():
+    invariant_sum.cache_clear()
+    motring._lfactor_cached.cache_clear()
+
+
+def best_time(cfg, repeat=3):
+    best = None
+    for _ in range(repeat):
+        clear_caches()
+        t0 = time.perf_counter()
+        result = invariant_sum(cfg)
+        elapsed = time.perf_counter() - t0
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
+
+
+def kernel_counts(cfg):
+    """pcyclo_mul calls and kernel output monomials of one invariant_sum."""
+    counts = {"pcyclo_mul_calls": 0, "terms_out": 0}
+    originals = {op: getattr(kernel, op) for op in COUNTED_OPS}
+
+    def counting(op, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            if op == "pcyclo_mul":
+                counts["pcyclo_mul_calls"] += 1
+            if result is not None:
+                counts["terms_out"] += len(result)
+            return result
+        return wrapper
+
+    # motring calls the kernel through the module, so rebinding the
+    # module attributes reaches every call
+    for op, fn in originals.items():
+        setattr(kernel, op, counting(op, fn))
+    try:
+        clear_caches()
+        invariant_sum(cfg)
+    finally:
+        for op, fn in originals.items():
+            setattr(kernel, op, fn)
+    return counts
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--out", default="BENCH_ring.json")
+    args = ap.parse_args()
+
+    rows = []
+    for blowups, cfg in chain_checkpoints().items():
+        seconds, result = best_time(cfg)
+        row = {"blowups": blowups, "curves": len(cfg.curves),
+               "invariant_sum_s": seconds, "is_zero": result.is_zero(),
+               **kernel_counts(cfg)}
+        rows.append(row)
+        print(f"{blowups:>4} blow-ups  {row['curves']:>4} curves  "
+              f"{seconds:9.4f} s  pcyclo_mul {row['pcyclo_mul_calls']:>7}  "
+              f"monomials out {row['terms_out']:>9}  zero {row['is_zero']}")
+
+    report = {
+        "bench": "ring_sum via invariant_sum on a blow-up chain",
+        "chain": "random_config(3), non-exceptional on-divisor blow-ups "
+                 "drawn with random.Random(1)",
+        "timing": "best of 3, caches cleared before each call",
+        "kernel": kernel.IMPL_NAME,
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "rows": rows,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {args.out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -15,6 +15,21 @@ plus stripping common powers of w.  The ring is an integral domain
 (w^d - uv is linear, hence irreducible, in u), so a difference over a
 common denominator is zero exactly when the element is zero; no gcd
 machinery is needed for an exact is_zero.
+
+Sums (ring_sum, and so + and -) go over the lcm of the stored
+denominators.  Terms that share a denominator are added directly; the
+groups are combined in a balanced tree, each node lifting its two
+children only to their own lcm.  Inner nodes are deliberately left
+unreduced: the normal form is not canonical, so reducing part sums
+could change the stored result, while the unreduced tree reaches
+exactly the numerator of lifting every term to the full lcm and then
+normalizes once.
+
+A w-exponent must fit the c field of the kernel's packed keys, or it
+would carry into the u/v field.  Constructors and sums check the
+exponents they pack or lift; products stay safe because _normalize
+keeps every stored numerator's weight 2*e_w + d*|e_u - e_v|, which adds
+up under products, within that field.  A misfit raises ExponentError.
 """
 
 from __future__ import annotations
@@ -232,11 +247,38 @@ def _as_exponent(a, d):
     return int(m)
 
 
+def _check_wdeg(c):
+    """Raise unless a w-exponent fits the c field of a packed key; a
+    larger one would carry into the u/v field and change the monomial."""
+    if c > K.KEY_MASK:
+        raise ExponentError(
+            f"w-exponent {c} exceeds the packed-key limit 2^{K.KEY_SHIFT} - 1")
+
+
+def _wdeg(num):
+    """Largest w-exponent of a numerator (0 when empty)."""
+    mask = K.KEY_MASK
+    return max([key & mask for key in num], default=0)
+
+
+def _weight(num, d):
+    """Largest 2*e_w + d*|e_u - e_v| of a nonempty numerator.
+
+    With uv = w^d this weight adds up under products, and it bounds
+    twice the w-exponent of every monomial."""
+    mask, shift = K.KEY_MASK, K.KEY_SHIFT
+    return max([2 * (key & mask) + d * abs(key >> shift) for key in num])
+
+
 def _normalize(d, num, wpow, cyclo):
     """Reduce stored data: trial-divide by the recorded cyclotomic
     factors (largest k first; a failed k can never start dividing again
     after a further division, so one descending pass suffices) and
-    strip powers of w shared by numerator and denominator."""
+    strip powers of w shared by numerator and denominator.
+
+    The reduced numerator's weight must fit a key's c field: then the
+    product of two stored elements, whose weight is at most the sum,
+    cannot carry out of the c field."""
     if not num:
         return {}, 0, ()
     counts = Counter(cyclo)
@@ -252,6 +294,11 @@ def _normalize(d, num, wpow, cyclo):
         if s:
             num = K.pwdiv(num, s)
             wpow -= s
+    weight = _weight(num, d)
+    if weight > K.KEY_MASK:
+        raise ExponentError(
+            f"exponents too large for packed keys (weight {weight} "
+            f"exceeds 2^{K.KEY_SHIFT} - 1)")
     cy = []
     for k in sorted(counts):
         cy.extend([k] * counts[k])
@@ -386,6 +433,7 @@ def from_hodge(h, d):
     num = {}
     for (eu, ev), coeff in h.items():
         m = min(eu, ev)
+        _check_wdeg(d * m)
         key = K.mkkey(eu - ev, d * m)
         num[key] = num.get(key, 0) + coeff
     return RingElem(d, {k: v for k, v in num.items() if v})
@@ -395,6 +443,7 @@ def lpow(a, d):
     """L^a = w^(a*d); a may be a negative or fractional exponent as
     long as a*d is an integer."""
     m = _as_exponent(a, d)
+    _check_wdeg(abs(m))
     if m >= 0:
         return RingElem(d, {K.mkkey(0, m): 1})
     return RingElem(d, {0: 1}, wpow=-m)
@@ -403,6 +452,7 @@ def lpow(a, d):
 @lru_cache(maxsize=None)
 def _lfactor_cached(m, d):
     # (L - 1) / (L^(m/d) - 1) with m = a*d != 0
+    _check_wdeg(d + abs(m))
     top = {K.mkkey(0, d): 1, 0: -1}
     if m > 0:
         return RingElem(d, top, cyclo=(m,))
@@ -423,10 +473,49 @@ def is_zero(x):
     return x.is_zero()
 
 
+def _counts(cyclo):
+    """{k: multiplicity} of a denominator's factors.  A plain dict, as
+    Counter's operators cost more than the rest of a two-term sum."""
+    out = {}
+    for k in cyclo:
+        out[k] = out.get(k, 0) + 1
+    return out
+
+
+def _lcm(ca, cb):
+    """Per-factor max multiplicity of two {k: multiplicity} dicts."""
+    out = dict(ca)
+    for k, mult in cb.items():
+        if mult > out.get(k, 0):
+            out[k] = mult
+    return out
+
+
+def _lift(num, wpow, counts, wp, union):
+    """num / (w^wpow * counts) rewritten over the multiple w^wp * union."""
+    if wp > wpow:
+        num = K.pshift(num, wp - wpow)
+    for k, mult in union.items():
+        for _ in range(mult - counts.get(k, 0)):
+            num = K.pcyclo_mul(num, k)
+    return num
+
+
 def ring_sum(terms, d=None):
     """Sum over one common denominator (per-factor max multiplicity,
-    i.e. an lcm).  Cheaper than folding with + when many terms share
-    factors, and associative/commutative on stored data."""
+    i.e. an lcm of the stored denominators).
+
+    Terms with the same stored denominator are added first, with no
+    multiplication.  The groups, ordered by denominator so that similar
+    ones sit side by side, are then combined pairwise in a balanced
+    tree: each node lifts its two children to their own lcm and adds
+    them, so a numerator is only multiplied by the factors that the
+    other side brings in, while it is still small.  Inner nodes are not
+    reduced; the one normalization happens at the root.  The root's
+    numerator and denominator are therefore exactly those of lifting
+    every term straight to the full lcm, and the stored result does not
+    depend on the order of the terms.
+    """
     terms = list(terms)
     if not terms:
         if d is None:
@@ -440,22 +529,28 @@ def ring_sum(terms, d=None):
         raise ContextError(f"mixed contexts d = {d} and d = {d0}")
     if len(terms) == 1:
         return terms[0]
-    wp = max(t.wpow for t in terms)
-    union = Counter()
+    groups = {}
     for t in terms:
-        union |= Counter(t.cyclo)
-    acc = {}
-    for t in terms:
-        num = t.num
-        if not num:
-            continue
-        if wp > t.wpow:
-            num = K.pshift(num, wp - t.wpow)
-        missing = union - Counter(t.cyclo)
-        for k, mult in missing.items():
-            for _ in range(mult):
-                num = K.pcyclo_mul(num, k)
-        acc = K.padd(acc, num)
+        key = (t.wpow, t.cyclo)
+        groups[key] = K.padd(groups[key], t.num) if key in groups else t.num
+    nodes = [(wpow, _counts(cyclo), num)
+             for (wpow, cyclo), num in sorted(groups.items())]
+    while len(nodes) > 1:
+        paired = []
+        for (wa, ca, na), (wb, cb, nb) in zip(nodes[::2], nodes[1::2]):
+            w, cu = max(wa, wb), _lcm(ca, cb)
+            paired.append((w, cu, K.padd(_lift(na, wa, ca, w, cu),
+                                         _lift(nb, wb, cb, w, cu))))
+        if len(nodes) % 2:
+            paired.append(nodes[-1])
+        nodes = paired
+    wp, union, acc = nodes[0]
+    # a numerator lifted to the root gained the degree its own
+    # denominator lacks; a key that carried on the way only holds a
+    # wrong monomial, which is dropped when this check raises
+    top = wp + sum(k * mult for k, mult in union.items())
+    for (wpow, cyclo), num in groups.items():
+        _check_wdeg(_wdeg(num) + top - wpow - sum(cyclo))
     cy = []
     for k in sorted(union):
         cy.extend([k] * union[k])
@@ -507,14 +602,18 @@ def euler_realize(x):
 
 
 def _int_root(q, d):
-    """Integer m >= 2 with m^d = q, or None."""
+    """Integer m >= 2 with m^d = q, or None.  Exact for any size of q:
+    integer Newton iteration from above, which decreases strictly until
+    it reaches floor(q^(1/d))."""
     if d == 1:
         return q
-    m = round(q ** (1.0 / d))
-    for cand in (m - 1, m, m + 1):
-        if cand >= 2 and cand ** d == q:
-            return cand
-    return None
+    m = 1 << -(-q.bit_length() // d)
+    while True:
+        nxt = ((d - 1) * m + q // m ** (d - 1)) // d
+        if nxt >= m:
+            break
+        m = nxt
+    return m if m >= 2 and m ** d == q else None
 
 
 class _QExt:
@@ -885,6 +984,7 @@ class _Parser:
         if not saw:
             raise ParseError("empty term")
         m = min(eu, ev)
+        _check_wdeg(ew + self.d * m)
         return K.mkkey(eu - ev, ew + self.d * m), coeff
 
     def parse_denominator(self):

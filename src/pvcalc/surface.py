@@ -21,10 +21,22 @@ from .errors import ConfigError, SchemaError
 from .motring import HodgePoly
 
 
+def _is_int(x):
+    """True for an int.  bool subclasses int but is never a valid count,
+    index or exponent here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _as_int(x, what):
+    if not _is_int(x):
+        raise ConfigError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _as_fraction(a):
     if isinstance(a, Fraction):
         return a
-    if isinstance(a, int):
+    if _is_int(a):
         return Fraction(a)
     if isinstance(a, str):
         try:
@@ -52,12 +64,12 @@ class Curve:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ConfigError("curve id must be a nonempty string")
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if not _is_int(self.genus) or self.genus < 0:
             raise ConfigError(f"curve {self.id}: genus must be a nonnegative integer")
-        if not isinstance(self.self_int, int):
+        if not _is_int(self.self_int):
             raise ConfigError(f"curve {self.id}: self-intersection must be an integer")
         object.__setattr__(self, "alpha", _as_fraction(self.alpha))
-        if not isinstance(self.count_trace, int):
+        if not _is_int(self.count_trace):
             raise ConfigError(f"curve {self.id}: count_trace must be an integer")
 
 
@@ -76,7 +88,7 @@ class Config:
     points: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
+        if not _is_int(self.d) or self.d < 1:
             raise ConfigError("denominator context d must be a positive integer")
         if not isinstance(self.ambient_hodge, HodgePoly):
             raise ConfigError("ambient_hodge must be a HodgePoly")
@@ -114,7 +126,7 @@ class Config:
             raise ConfigError(f"point {p!r}: curve ids must be strings")
         if a == b:
             raise ConfigError(f"point {p!r}: a curve cannot cross itself here")
-        if not isinstance(k, int) or k < 0:
+        if not _is_int(k) or k < 0:
             raise ConfigError(f"point {p!r}: index must be a nonnegative integer")
         if b < a:
             a, b = b, a
@@ -398,17 +410,22 @@ def _ambient_to_json(h):
 
 
 def _ambient_from_json(obj):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"ambient must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "plane":
         h = plane()
     elif kind == "ruled":
-        h = ruled(int(obj.get("genus", 0)))
+        h = ruled(_as_int(obj.get("genus", 0), "ambient genus"))
     elif kind == "custom":
-        h = HodgePoly({(int(eu), int(ev)): int(c) for eu, ev, c in obj["terms"]})
+        h = HodgePoly({(_as_int(eu, "ambient term exponent"),
+                        _as_int(ev, "ambient term exponent")):
+                       _as_int(c, "ambient term coefficient")
+                       for eu, ev, c in obj["terms"]})
         return h
     else:
         raise ConfigError(f"unknown ambient kind {kind!r}")
-    b = int(obj.get("blowups", 0))
+    b = _as_int(obj.get("blowups", 0), "blowups")
     if b < 0:
         raise ConfigError("blowups must be nonnegative")
     return h + HodgePoly({(1, 1): b})
@@ -448,17 +465,16 @@ def load_config(obj, default_d=None):
             d = default_d
         else:
             raise ConfigError("missing denominator context d")
-        if not isinstance(d, int):
-            raise ConfigError("d must be an integer")
+        _as_int(d, "d")
         ambient = _ambient_from_json(obj.get("ambient", {"kind": "plane"}))
         curves = []
         for c in obj.get("curves", ()):
             curves.append(Curve(
                 id=c["id"],
-                genus=int(c.get("genus", 0)),
-                self_int=int(c["self_int"]),
+                genus=_as_int(c.get("genus", 0), "genus"),
+                self_int=_as_int(c["self_int"], "self_int"),
                 alpha=_as_fraction(c["alpha"]),
-                count_trace=int(c.get("count_trace", 0)),
+                count_trace=_as_int(c.get("count_trace", 0), "count_trace"),
             ))
         points = []
         for p in obj.get("points", ()):

@@ -23,8 +23,8 @@ from .errors import ConfigError, DataError, GenericityError, SchemaError
 from .motring import HodgePoly, from_hodge, from_int, lfactor, lpow, ring_sum
 from .pvint import invariant_sum
 from .surface import (Config, Curve, Report, _ambient_from_json,
-                      _ambient_to_json, euler_complement, is_connected,
-                      stratum_class, validate)
+                      _ambient_to_json, _as_int, _is_int, euler_complement,
+                      is_connected, stratum_class, validate)
 
 CREATIONS = ("point", "rational_curve", "nonrational_curve")
 
@@ -41,9 +41,9 @@ class ResolutionComponent:
     trace: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 1:
+        if not _is_int(self.N) or self.N < 1:
             raise DataError(f"component {self.id}: N must be a positive integer")
-        if not isinstance(self.v, int) or self.v < 1:
+        if not _is_int(self.v) or self.v < 1:
             raise DataError(f"component {self.id}: v must be a positive integer")
 
 
@@ -65,9 +65,9 @@ class SurfaceResolutionDatum:
     creation_genus: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.nj, int) or self.nj < 1:
+        if not _is_int(self.nj) or self.nj < 1:
             raise DataError("N_j must be a positive integer")
-        if not isinstance(self.vj, int) or self.vj < 1:
+        if not _is_int(self.vj) or self.vj < 1:
             raise DataError("v_j must be a positive integer")
         if self.creation not in CREATIONS:
             raise DataError(f"creation must be one of {CREATIONS}")
@@ -337,25 +337,28 @@ def dump_datum(datum):
 
 def load_datum(obj):
     try:
+        if not isinstance(obj, dict):
+            raise ConfigError("resolution datum must be an object")
         comps = tuple(
             ResolutionComponent(
                 id=c["id"],
-                genus=int(c.get("genus", 0)),
-                self_int=int(c["self"]),
-                N=int(c["N"]),
-                v=int(c["v"]),
-                trace=int(c.get("trace", 0)),
+                genus=_as_int(c.get("genus", 0), "genus"),
+                self_int=_as_int(c["self"], "self"),
+                N=_as_int(c["N"], "N"),
+                v=_as_int(c["v"], "v"),
+                trace=_as_int(c.get("trace", 0), "trace"),
             )
             for c in obj.get("components", ())
         )
         return SurfaceResolutionDatum(
-            nj=int(obj["nj"]),
-            vj=int(obj["vj"]),
+            nj=_as_int(obj["nj"], "nj"),
+            vj=_as_int(obj["vj"], "vj"),
             surface_hodge=_ambient_from_json(obj.get("surface", {"kind": "plane"})),
             creation=obj.get("creation", "point"),
             components=comps,
             points=tuple(tuple(p) for p in obj.get("points", ())),
-            creation_genus=int(obj.get("creation_genus", 0)),
+            creation_genus=_as_int(obj.get("creation_genus", 0),
+                                   "creation_genus"),
         )
     except (ConfigError, DataError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad resolution datum: {exc}") from exc

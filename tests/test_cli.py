@@ -10,7 +10,7 @@ from pvcalc.cli import main, parse_center
 from pvcalc.errors import InputError
 from pvcalc.models import plane_conic
 from pvcalc.surface import Config, Curve, plane, ruled, save_config
-from pvcalc.zeta import save_datum, triangle_datum, \
+from pvcalc.zeta import dump_datum, save_datum, triangle_datum, \
     SurfaceResolutionDatum, ResolutionComponent
 
 F = Fraction
@@ -113,6 +113,14 @@ def test_compute_padic(conic_file, capsys):
     assert main(["compute", conic_file, "--realization", "padic",
                  "--q", "3"]) == 0
     assert capsys.readouterr().out.strip() == "[-3, -4]  (mod x^2 - 3)"
+
+
+def test_compute_padic_huge_q(conic_file, capsys):
+    # q = 10^400 is far beyond float range; it is (10^200)^2, so w -> 10^200
+    m = 10 ** 200
+    assert main(["compute", conic_file, "--realization", "padic",
+                 "--q", str(m ** 2)]) == 0
+    assert capsys.readouterr().out.strip() == str(-(m ** 3 + m ** 2 + m))
 
 
 def test_compute_flag_combinations(conic_file, capsys):
@@ -309,6 +317,52 @@ def test_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["compute", str(path)]) == 2
     assert "malformed JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda o: o.__setitem__("ambient", [1, 2]),
+    lambda o: o.__setitem__("d", True),
+    lambda o: o["curves"][0].__setitem__("genus", False),
+    lambda o: o["curves"][0].__setitem__("self_int", True),
+    lambda o: o["points"][0].__setitem__(2, True),
+], ids=["ambient-list", "d-bool", "genus-bool", "self_int-bool",
+        "index-bool"])
+def test_config_schema_exit_code(pattern_file, tmp_path, capsys, mutate):
+    assert main(["compute", pattern_file]) == 0
+    with open(pattern_file) as fh:
+        obj = json.load(fh)
+    mutate(obj)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(obj))
+    assert main(["compute", str(path)]) == 2
+    assert "bad configuration data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda o: o.__setitem__("surface", [1, 2]),
+    lambda o: o.__setitem__("nj", True),
+    lambda o: o["components"][0].__setitem__("N", True),
+    lambda o: o["components"][0].__setitem__("v", True),
+    lambda o: o["components"][0].__setitem__("genus", False),
+    lambda o: o["components"][0].__setitem__("self", True),
+], ids=["surface-list", "nj-bool", "N-bool", "v-bool", "genus-bool",
+        "self-bool"])
+def test_datum_schema_exit_code(tmp_path, capsys, mutate):
+    obj = dump_datum(triangle_datum())
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj))
+    assert main(["residue", str(path)]) == 0
+    mutate(obj)
+    path.write_text(json.dumps(obj))
+    assert main(["residue", str(path)]) == 2
+    assert "bad resolution datum" in capsys.readouterr().err
+
+
+def test_datum_not_an_object(tmp_path, capsys):
+    path = tmp_path / "datum.json"
+    path.write_text("[1, 2]")
+    assert main(["residue", str(path)]) == 2
+    assert "bad resolution datum" in capsys.readouterr().err
 
 
 def test_unknown_command():

@@ -1,17 +1,20 @@
 """Realization ring: normal forms, oracles, rendering, specializations."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pvcalc import _kernel as K
 from pvcalc.errors import (ChiDomainError, ContextError, ExponentError,
                            LogPoleError, ParseError)
 from pvcalc.motring import (HodgePoly, RingElem, euler_realize, from_hodge,
                             from_int, is_zero, legend, lfactor, lpow,
                             numeric_eval, one, parse_ring_elem, render,
                             render_hodge, ring_sum, zero)
+from pvcalc.motring import _int_root
 
 F = Fraction
 
@@ -70,6 +73,31 @@ def test_exponent_context():
         lpow(F(1, 2), 3)
     with pytest.raises(ExponentError):
         lfactor(F(1, 4), 2)
+
+
+def test_packed_key_overflow_is_rejected():
+    # a w-exponent lives in the low 32 bits of a packed key; one that
+    # does not fit used to carry into the u/v field (L^(2^31) at d = 2
+    # rendered as "u")
+    top = 2 ** 31 - 1        # stored numerators keep 2*e_w below 2^32
+    assert render(lpow(top, 1)) == f"w^{top}"
+    u_big = from_hodge(HodgePoly({(2 ** 30, 0): 1}), 2)
+    v_big = from_hodge(HodgePoly({(0, 2 ** 30): 1}), 2)
+    for build in (
+        lambda: lpow(2 ** 31, 2),
+        lambda: lpow(top + 1, 1),
+        lambda: lpow(-(2 ** 32), 1),
+        lambda: lfactor(-(2 ** 32), 1),
+        lambda: from_hodge(HodgePoly({(2 ** 31, 2 ** 31): 1}), 2),
+        lambda: parse_ring_elem(f"w^{2 ** 32}", 1),
+        lambda: parse_ring_elem(f"u^{2 ** 31}*v^{2 ** 31}", 2),
+        lambda: lpow(2 ** 29, 2) * lpow(2 ** 29, 2),
+        lambda: u_big * v_big,                  # 2^30 uv pairs fold to w
+        lambda: lpow(top, 1) + lpow(-1, 1),     # lifted to the common w
+        lambda: lpow(top, 1) + lpow(-(2 ** 32 - 1), 1),
+    ):
+        with pytest.raises(ExponentError):
+            build()
 
 
 def test_mixed_context_rejected():
@@ -156,6 +184,24 @@ def test_numeric_eval_vectors():
     assert numeric_eval(lpow(F(3, 2), d), 9) == [F(27)]
     assert numeric_eval(lfactor(F(-1, 2), d), 9) == [F(-12)]
     assert numeric_eval(from_int(7, 3), 2) == [F(7), F(0), F(0)]
+
+
+def test_int_root_is_exact():
+    for d in (2, 3, 5):
+        for m in (2, 3, 10 ** 50 + 7, 2 ** 200):
+            assert _int_root(m ** d, d) == m
+            assert _int_root(m ** d + 1, d) is None
+            assert _int_root(m ** d - 1, d) is None
+    assert _int_root(7, 1) == 7
+    assert _int_root(2, 2) is None
+
+
+def test_numeric_eval_huge_q():
+    # q far beyond float range: no OverflowError, exact values
+    m = 10 ** 200
+    assert numeric_eval(lpow(1, 2), m ** 2) == [m ** 2]
+    assert numeric_eval(lpow(F(1, 2), 2), m ** 2) == [m]
+    assert numeric_eval(lpow(F(1, 2), 2), m ** 2 + 1) == [0, 1]
 
 
 def test_numeric_eval_is_multiplicative():
@@ -268,3 +314,86 @@ def test_domain_soundness_random(ts, us):
         assert (x * y).is_zero()
     else:
         assert not (x * y).is_zero()
+
+
+# ---- ring_sum against the flat per-term lcm loop -------------------------
+
+
+def flat_ring_sum(terms):
+    """Reference: lift every term straight to the full lcm, then add."""
+    d0 = terms[0].d
+    if len(terms) == 1:
+        return terms[0]
+    wp = max(t.wpow for t in terms)
+    union = Counter()
+    for t in terms:
+        union |= Counter(t.cyclo)
+    acc = {}
+    for t in terms:
+        num = t.num
+        if not num:
+            continue
+        if wp > t.wpow:
+            num = K.pshift(num, wp - t.wpow)
+        missing = union - Counter(t.cyclo)
+        for k, mult in missing.items():
+            for _ in range(mult):
+                num = K.pcyclo_mul(num, k)
+        acc = K.padd(acc, num)
+    cy = []
+    for k in sorted(union):
+        cy.extend([k] * union[k])
+    return RingElem(d0, acc, wp, tuple(cy))
+
+
+HODGE_MONOMIALS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
+
+
+def build_term(d, spec):
+    """n * (Hodge monomial) * L^(e/d) * prod (L-1)/(L^(a/d)-1)."""
+    n, (eu, ev), e, alphas = spec
+    t = (from_int(n, d) * from_hodge(HodgePoly({(eu, ev): 1}), d)
+         * lpow(F(e, d), d))
+    for a in alphas:
+        t = t * lfactor(F(a, d), d)
+    return t
+
+
+@st.composite
+def sum_specs(draw):
+    """(d, term specs, the same specs permuted).  Few exponents, so
+    denominators repeat, and some specs are drawn twice; a zero n gives
+    a zero term, and L-powers of both signs mix wpow."""
+    d = draw(st.integers(1, 6))
+    spec = st.tuples(st.integers(-2, 2), st.sampled_from(HODGE_MONOMIALS),
+                     st.integers(-3, 3),
+                     st.lists(st.integers(-6, 6).filter(bool), max_size=3))
+    specs = draw(st.lists(spec, min_size=1, max_size=10))
+    specs += draw(st.lists(st.sampled_from(specs), max_size=4))
+    return d, specs, draw(st.permutations(specs))
+
+
+# normalizing the tree's part sums would change the stored result here,
+# because the normal form is not canonical
+INNER_REDUCTION_CASE = [
+    (1, (1, 0), -2, [-1, 4]), (1, (2, 1), 2, [1, -4]),
+    (-1, (2, 1), -2, [2, 2]), (0, (0, 1), 1, [-3, 2]),
+    (2, (0, 0), 3, [-2, 1]),
+]
+
+
+def stored(x):
+    return x.num, x.wpow, x.cyclo
+
+
+@settings(max_examples=80, deadline=None)
+@given(sum_specs())
+@example((3, INNER_REDUCTION_CASE, INNER_REDUCTION_CASE[::-1]))
+def test_ring_sum_matches_flat_lcm_loop(case):
+    d, specs, shuffled = case
+    terms = [build_term(d, spec) for spec in specs]
+    got = ring_sum(terms, d)
+    assert stored(got) == stored(flat_ring_sum(terms))
+    again = ring_sum([build_term(d, spec) for spec in shuffled], d)
+    assert stored(again) == stored(got)
+    assert render(again) == render(got)
