@@ -1,27 +1,18 @@
-"""Benchmark: compiled kernel versus the pure-Python fallback.
+"""Benchmark: the two hot kernel operations, pmul and pcyclo_div.
 
-Times the two hot kernel operations (pmul, pcyclo_div) on synthetic
-polynomial data, then a realistic end-to-end workload (the acceptance
-delta sweep in miniature) in subprocesses so each run gets a clean
-import of its backend.
+Times them on synthetic polynomial data (d = 12): pmul on random pairs,
+pcyclo_div on products with (w^k - 1), k in 1..3, so every division
+succeeds.
 
-Run:  python3 benches/bench_kernel.py [--quick]
+Run:  PYTHONPATH=src python3 benches/bench_kernel.py [--quick]
 """
 
 import argparse
-import os
 import random
 import statistics
-import subprocess
-import sys
 import time
 
-from pvcalc._kernel import _pykernel
-
-try:
-    from pvcalc._kernel import _ckernel
-except ImportError:
-    _ckernel = None
+import pvcalc._kernel as kernel
 
 
 def synth_polys(rng, n, terms, d):
@@ -36,25 +27,25 @@ def synth_polys(rng, n, terms, d):
     return out
 
 
-def time_op(label, fn, pairs, repeat=5):
+def time_op(fn, pairs, repeat=5):
+    """(best, median) seconds of one pass of fn over pairs."""
     samples = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         for a, b in pairs:
             fn(a, b)
         samples.append(time.perf_counter() - t0)
-    best = min(samples)
-    med = statistics.median(samples)
-    return best, med
+    return min(samples), statistics.median(samples)
 
 
 def bench_kernel(impl, rng_seed, n_pairs, d):
+    """{"pmul": (best, median), "pcyclo_div": (best, median)} seconds for
+    n_pairs products and n_pairs // 2 divisions with the kernel impl."""
     rng = random.Random(rng_seed)
     polys = synth_polys(rng, 2 * n_pairs, 12, d)
     pairs = list(zip(polys[0::2], polys[1::2]))
     results = {}
-    results["pmul"] = time_op("pmul", lambda a, b: impl.pmul(a, b, d),
-                              pairs)
+    results["pmul"] = time_op(lambda a, b: impl.pmul(a, b, d), pairs)
     # divisible inputs for the cyclotomic division
     div_pairs = []
     for a, _ in pairs[: n_pairs // 2]:
@@ -62,72 +53,23 @@ def bench_kernel(impl, rng_seed, n_pairs, d):
         prod = impl.pcyclo_mul(a, k)
         div_pairs.append((prod, k))
     results["pcyclo_div"] = time_op(
-        "pcyclo_div", lambda p, k: impl.pcyclo_div(p, k), div_pairs)
+        lambda p, k: impl.pcyclo_div(p, k), div_pairs)
     return results
-
-
-END_TO_END = r"""
-import time
-from fractions import Fraction
-from pvcalc._kernel import IMPL_NAME
-from pvcalc.birational import invariance_delta, on_curve, at_point, free
-from pvcalc.models import candidate_centers, random_config
-from pvcalc.pvint import e_invariant
-
-t0 = time.perf_counter()
-for seed in range(60):
-    cfg = random_config(seed)
-    e_invariant(cfg)
-    for center in candidate_centers(cfg)[:3] + [free()]:
-        invariance_delta(cfg, center)
-print(IMPL_NAME, time.perf_counter() - t0)
-"""
-
-
-def bench_end_to_end(pure):
-    env = dict(os.environ)
-    env["PVCALC_PURE_PYTHON"] = "1" if pure else "0"
-    out = subprocess.run([sys.executable, "-c", END_TO_END], env=env,
-                         capture_output=True, text=True, check=True)
-    name, seconds = out.stdout.split()
-    return name, float(seconds)
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true",
-                    help="smaller synthetic workload, skip end-to-end")
+                    help="400 pairs instead of 2000")
     args = ap.parse_args()
     n_pairs = 400 if args.quick else 2000
     d = 12
 
-    impls = [("python", _pykernel)]
-    if _ckernel is not None:
-        impls.append(("c", _ckernel))
-    else:
-        print("compiled kernel not built; benchmarking the fallback only")
-
-    rows = []
-    for name, impl in impls:
-        res = bench_kernel(impl, 7, n_pairs, d)
-        for op, (best, med) in res.items():
-            rows.append((name, op, best, med))
-
-    print(f"\nsynthetic kernel ops ({n_pairs} pairs, d = {d}, best of 5):")
-    print(f"{'backend':<10} {'op':<12} {'best s':>10} {'median s':>10}")
-    for name, op, best, med in rows:
-        print(f"{name:<10} {op:<12} {best:>10.4f} {med:>10.4f}")
-    if _ckernel is not None:
-        for op in ("pmul", "pcyclo_div"):
-            py = next(r for r in rows if r[0] == "python" and r[1] == op)
-            cc = next(r for r in rows if r[0] == "c" and r[1] == op)
-            print(f"speedup {op}: {py[2] / cc[2]:.2f}x")
-
-    if not args.quick:
-        print("\nend-to-end (invariants + deltas over 60 seeded configs):")
-        for pure in (True, False):
-            name, seconds = bench_end_to_end(pure)
-            print(f"{name:<10} {seconds:.3f} s")
+    res = bench_kernel(kernel, 7, n_pairs, d)
+    print(f"kernel ops ({n_pairs} pairs, d = {d}, best of 5):")
+    print(f"{'op':<12} {'best s':>10} {'median s':>10}")
+    for op, (best, med) in res.items():
+        print(f"{op:<12} {best:>10.4f} {med:>10.4f}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from .surface import (Config, Curve, Finding, Report, adjunction_defect,
                       is_allowed, is_connected, load_config, plane,
                       read_config, ruled, save_config, stratum_class,
                       validate)
-from .pvint import (e_euler, e_hodge, e_invariant, e_padic, invariant_sum,
+from .pvint import (e_euler, e_invariant, e_padic, invariant_sum,
                     pv_integral)
 from .birational import (BlowupCenter, add_unit_curve, at_point, blow_down,
                          blow_up, exceptional_alphas, exceptional_delta,

@@ -565,40 +565,34 @@ def euler_realize(x):
     """Euler-characteristic value in Q.
 
     Substitutes u -> s^d, v -> 1, w -> s and takes the limit s -> 1:
-    with r denominator factors the numerator must be divisible by
-    (s - 1)^r, and the value is the quotient at s = 1 divided by the
-    product of the factor indices k.  Everything reachable through the
+    with r denominator factors the numerator f(s) = sum c_e s^e must be
+    divisible by (s - 1)^r, and the value is the quotient at s = 1
+    divided by the product of the factor indices k.  Both come from the
+    binomial moments f^(j)(1) / j! = sum c_e * C(e, j): (s - 1)^r divides
+    f exactly when the moments for j < r vanish, and the quotient at
+    s = 1 is the moment for j = r.  Everything reachable through the
     public constructors admits this limit; the error guards hand-built
     representatives like a bare 1/(w - 1).
     """
     if not x.num:
         return Fraction(0)
     d = x.d
-    deg = 0
-    for key in x.num:
-        t = K.key_t(key)
-        e = K.key_c(key) + (d * t if t > 0 else 0)
-        if e > deg:
-            deg = e
-    coeffs = [0] * (deg + 1)
+    r = len(x.cyclo)
+    moments = [0] * (r + 1)
+    mask, shift = K.KEY_MASK, K.KEY_SHIFT
     for key, coeff in x.num.items():
-        t = K.key_t(key)
-        e = K.key_c(key) + (d * t if t > 0 else 0)
-        coeffs[e] += coeff
-    for _ in range(len(x.cyclo)):
-        if sum(coeffs) != 0:
-            raise ChiDomainError("no Euler specialization for this representative")
-        # exact quotient by (s - 1): suffix sums
-        acc = 0
-        quo = [0] * (len(coeffs) - 1) if len(coeffs) > 1 else [0]
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc += coeffs[i]
-            quo[i - 1] = acc
-        coeffs = quo
+        t = key >> shift
+        e = (key & mask) + (d * t if t > 0 else 0)
+        # coeff * C(e, j) for j = 0..r, by C(e, j+1) = C(e, j) (e-j)/(j+1)
+        for j in range(r + 1):
+            moments[j] += coeff
+            coeff = coeff * (e - j) // (j + 1)
+    if any(moments[:r]):
+        raise ChiDomainError("no Euler specialization for this representative")
     den = 1
     for k in x.cyclo:
         den *= k
-    return Fraction(sum(coeffs), den)
+    return Fraction(moments[r], den)
 
 
 def _int_root(q, d):

@@ -65,15 +65,6 @@ def pv_integral(config):
     return e_invariant(config) * lpow(-2, config.d)
 
 
-def e_hodge(config):
-    """The invariant as Hodge-polynomial data.
-
-    Identical element; the distinction is the intended rendering, with
-    fractional powers of uv in place of powers of w (render_hodge).
-    """
-    return e_invariant(config)
-
-
 def e_euler(config):
     """Euler-characteristic specialization, computed by the direct formula.
 

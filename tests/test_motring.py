@@ -100,6 +100,17 @@ def test_packed_key_overflow_is_rejected():
             build()
 
 
+def test_large_cyclo_factor_sums_stay_fast():
+    # the root normalization trial-divides a degree-2^32 numerator by
+    # w^(2^31) - 1; a division that walks every degree does not finish
+    with pytest.raises(ExponentError):
+        lpow(2 ** 31 - 1, 1) + lfactor(2 ** 31, 1)
+    n = 2 ** 20
+    x = lpow(n - 1, 1) + lfactor(n, 1)
+    assert x - lfactor(n, 1) == lpow(n - 1, 1)
+    assert euler_realize(x) == 1 + F(1, n)
+
+
 def test_mixed_context_rejected():
     with pytest.raises(ContextError):
         lpow(1, 2) == lpow(1, 3)
@@ -170,6 +181,14 @@ def test_euler_realize_domain_guard():
     bad = RingElem(1, {0: 1}, 0, (1,))       # hand-built 1/(w-1)
     with pytest.raises(ChiDomainError):
         euler_realize(bad)
+
+
+def test_euler_realize_large_exponent():
+    # L^(2^29) (L - 1)/(L^3 - 1): the value needs no dense coefficient
+    # list of length 2^29
+    assert euler_realize(lpow(2 ** 29, 1) * lfactor(3, 1)) == F(1, 3)
+    big = lpow(2 ** 29, 1) * lfactor(2 ** 29, 1)
+    assert euler_realize(big) == F(1, 2 ** 29)
 
 
 # ---- numeric evaluation ------------------------------------------------
