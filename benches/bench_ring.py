@@ -18,6 +18,7 @@ import time
 
 import pvcalc._kernel as kernel
 import pvcalc.motring as motring
+import pvcalc.pvint as pvint
 from pvcalc.birational import blow_up, is_exceptional_center
 from pvcalc.models import candidate_centers, random_config
 from pvcalc.pvint import invariant_sum
@@ -40,8 +41,11 @@ def chain_checkpoints():
 
 
 def clear_caches():
-    invariant_sum.cache_clear()
-    motring._lfactor_cached.cache_clear()
+    """Clear invariant_sum's cache, its term caches and lfactor's, so
+    each timed call sums from cold."""
+    for cache in (invariant_sum, pvint._curve_term, pvint._pair_term,
+                  motring._lfactor_cached):
+        cache.cache_clear()
 
 
 def best_time(cfg, repeat=3):

@@ -1026,6 +1026,8 @@ class _Parser:
                 self.take("-")
                 if self.take() != "1":
                     raise ParseError("denominator factors look like (w^k - 1)")
+                if k == 0:
+                    raise ParseError("denominator factor (w^0 - 1) is zero")
                 self.take(")")
                 e = 1
                 if self.peek() == "^":

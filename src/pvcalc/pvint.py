@@ -12,10 +12,10 @@ finite fields reuse the same stratum bookkeeping.
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ContextError, LogPoleError, ValidationError
-from .motring import (from_hodge, from_int, lfactor, lpow, numeric_eval,
-                      ring_sum)
-from .surface import stratum_class, validate
+from .errors import ContextError, ExponentError, LogPoleError, ValidationError
+from .motring import (HodgePoly, from_hodge, from_int, lfactor, lpow,
+                      numeric_eval, ring_sum)
+from .surface import curve_class, stratum_class, validate
 
 
 @lru_cache(maxsize=None)
@@ -25,19 +25,39 @@ def invariant_sum(config):
     Callers normally go through e_invariant; this entry point exists for
     identities that hold formula-wise even on configurations that fail
     validation (the all-exponents-one partition identity, for one).
+
+    Terms, in order: the open stratum; each curve with alpha != 0 (its
+    open part times lfactor); each pair of such curves that meet, in id
+    order; each alpha = 0 curve with nonzero self-intersection.  Curve
+    and pair terms depend only on small integer signatures with
+    m = alpha*d, so they come from caches keyed by those; the terms and
+    the order of every product are those of the plain loop, so the
+    stored result is too.  An alpha outside (1/d) Z raises
+    ExponentError, an alpha = 0 neighbor of a counted alpha = 0 curve
+    LogPoleError, as lfactor does.
     """
     d = config.d
-    live = [c for c in config.curves if c.alpha != 0]
+    m = {}
+    for c in config.curves:
+        if c.alpha:
+            q, r = divmod(c.alpha.numerator * d, c.alpha.denominator)
+            if r:
+                raise ExponentError(
+                    f"exponent {c.alpha} is not a multiple of 1/{d}")
+            m[c.id] = q
+    degree = dict.fromkeys(m, 0)
+    for a, b, _ in config.points:
+        if a in degree:
+            degree[a] += 1
+        if b in degree:
+            degree[b] += 1
     terms = [from_hodge(stratum_class(config, ()), d)]
-    for c in live:
-        terms.append(from_hodge(stratum_class(config, (c.id,)), d)
-                     * lfactor(c.alpha, d))
-    for i, ci in enumerate(live):
-        for cj in live[i + 1:]:
-            n = config.intersection(ci.id, cj.id)
-            if n:
-                terms.append(from_int(n, d) * lfactor(ci.alpha, d)
-                             * lfactor(cj.alpha, d))
+    for c in config.curves:
+        if c.id in m:
+            terms.append(_curve_term(c.genus, degree[c.id], m[c.id], d))
+    for (a, b), n in config.pair_counts.items():
+        if a in m and b in m:
+            terms.append(_pair_term(n, m[a], m[b], d))
     for c in config.curves:
         if c.alpha != 0 or c.self_int == 0:
             continue
@@ -46,6 +66,20 @@ def invariant_sum(config):
             t = t * lfactor(config.curve(j).alpha, d)
         terms.append(t)
     return ring_sum(terms, d)
+
+
+@lru_cache(maxsize=None)
+def _curve_term(genus, degree, m, d):
+    """A genus-g curve minus its `degree` points, times lfactor(m/d)."""
+    open_part = curve_class(genus) - HodgePoly.scalar(degree)
+    return from_hodge(open_part, d) * lfactor(Fraction(m, d), d)
+
+
+@lru_cache(maxsize=None)
+def _pair_term(n, m_a, m_b, d):
+    """n crossing points of two curves, times both lfactors."""
+    return (from_int(n, d) * lfactor(Fraction(m_a, d), d)
+            * lfactor(Fraction(m_b, d), d))
 
 
 def e_invariant(config):

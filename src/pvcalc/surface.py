@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 import json
+from math import lcm
 
 from .errors import ConfigError, SchemaError
 from .motring import HodgePoly
@@ -171,6 +172,10 @@ class Config:
         except KeyError:
             raise ConfigError(f"no curve with id {i!r}") from None
 
+    @cached_property
+    def _findings(self):
+        return _compute_findings(self)
+
     def __hash__(self):
         return hash((self.d, self.ambient_hodge, self.curves, self.points))
 
@@ -257,6 +262,42 @@ def stratum_class(config, I):
     raise ConfigError("at most two curves pass through any point")
 
 
+def _exponent_tally(config):
+    """The integer data behind adjunction and allowedness, in one pass.
+
+    With D the lcm of d and every alpha's denominator (D = d when all
+    exponents lie in (1/d) Z), m_i = alpha_i * D is an integer and the
+    adjunction identity of curve i reads
+    m_i * s_i + sum over l of (m_l - D) * n_il == D * (2 g_i - 2).
+    Returns (D, m, defect, special, log_pair): defect[i] is the left
+    side minus the right, special[i] counts the points of an alpha = 0
+    curve on curves with alpha != 1, and log_pair holds the alpha = 0
+    curves meeting another alpha = 0 curve.
+    """
+    curves = config.curves
+    scale = lcm(config.d, *(c.alpha.denominator for c in curves))
+    m = {c.id: c.alpha.numerator * (scale // c.alpha.denominator)
+         for c in curves}
+    defect = {c.id: m[c.id] * c.self_int - scale * (2 * c.genus - 2)
+              for c in curves}
+    special = {}
+    log_pair = set()
+    for (a, b), n in config.pair_counts.items():
+        ma, mb = m[a], m[b]
+        defect[a] += (mb - scale) * n
+        defect[b] += (ma - scale) * n
+        if ma and mb:
+            continue
+        for i, mj in ((a, mb), (b, ma)):
+            if m[i]:
+                continue
+            if mj == 0:
+                log_pair.add(i)
+            elif mj != scale:
+                special[i] = special.get(i, 0) + n
+    return scale, m, defect, special, log_pair
+
+
 def adjunction_defect(config, i):
     """How far curve i is from the exponent adjunction identity.
 
@@ -264,17 +305,9 @@ def adjunction_defect(config, i):
     (alpha_l - 1) * (C_i . C_l) must equal 2 g_i - 2; returns the
     difference (0 means consistent).
     """
-    c = config.curve(i)
-    total = c.alpha * c.self_int
-    for (a, b), n in config.pair_counts.items():
-        if i == a:
-            other = b
-        elif i == b:
-            other = a
-        else:
-            continue
-        total += (config.curve(other).alpha - 1) * n
-    return total - (2 * c.genus - 2)
+    config.curve(i)
+    scale, _, defect, _, _ = _exponent_tally(config)
+    return Fraction(defect[i], scale)
 
 
 def is_allowed(config, i):
@@ -289,20 +322,8 @@ def is_allowed(config, i):
         return True
     if c.genus != 0:
         return False
-    special = 0
-    for a, b, _ in config.points:
-        if i == a:
-            other = b
-        elif i == b:
-            other = a
-        else:
-            continue
-        al = config.curve(other).alpha
-        if al == 0:
-            return False
-        if al != 1:
-            special += 1
-    return special <= 2
+    _, _, _, special, log_pair = _exponent_tally(config)
+    return i not in log_pair and special.get(i, 0) <= 2
 
 
 # ---- validation -------------------------------------------------------
@@ -342,46 +363,54 @@ def validate(config):
     Errors: exponents outside (1/d) Z, adjunction failures, alpha = 0
     curves that are not allowed.  Info findings carry the Euler
     characteristic of the complement and the connectivity of the divisor.
+
+    The findings are computed once per Config and kept on it; every
+    call returns a fresh Report holding them, so a caller may change
+    its report without changing the next one.
     """
+    return Report(list(config._findings))
+
+
+def _compute_findings(config):
+    """validate's findings, as a tuple, from the integer tally; a
+    Fraction is built only to word an adjunction error."""
     rep = Report()
     d = config.d
-    for c in config.curves:
-        if (c.alpha * d).denominator != 1:
+    curves = config.curves
+    scale, m, defect, special, log_pair = _exponent_tally(config)
+    for c in curves:
+        if d % c.alpha.denominator:
             rep.add("error", "alpha-context",
                     f"alpha {c.alpha} of {c.id} is not a multiple of 1/{d}")
-    for c in config.curves:
-        defect = adjunction_defect(config, c.id)
-        if defect != 0:
+    for c in curves:
+        if defect[c.id]:
             rep.add("error", "adjunction",
-                    f"adjunction defect {defect} on {c.id}")
-    for c in config.curves:
-        if c.alpha != 0 or is_allowed(config, c.id):
+                    f"adjunction defect {Fraction(defect[c.id], scale)} "
+                    f"on {c.id}")
+    for c in curves:
+        if m[c.id]:
             continue
         if c.genus != 0:
             rep.add("error", "allowed-genus",
                     f"curve {c.id} with alpha 0 must be rational (genus {c.genus})")
-            continue
-        bad = [j for j in config.neighbors[c.id] if config.curve(j).alpha == 0]
-        if bad:
+        elif c.id in log_pair:
+            bad = next(j for j in config.neighbors[c.id] if m[j] == 0)
             rep.add("error", "allowed-log-neighbor",
-                    f"curves {c.id} and {bad[0]} both have alpha 0 and intersect")
-            continue
-        special = sum(n for (a, b), n in config.pair_counts.items()
-                      if c.id in (a, b)
-                      and config.curve(b if a == c.id else a).alpha != 1)
-        rep.add("error", "allowed-points",
-                f"curve {c.id} with alpha 0 meets curves with alpha != 1 "
-                f"in {special} points (at most 2)")
+                    f"curves {c.id} and {bad} both have alpha 0 and intersect")
+        elif special.get(c.id, 0) > 2:
+            rep.add("error", "allowed-points",
+                    f"curve {c.id} with alpha 0 meets curves with alpha != 1 "
+                    f"in {special[c.id]} points (at most 2)")
     rep.add("info", "chi",
             f"euler characteristic of the open complement: {euler_complement(config)}")
-    if not config.curves:
+    if not curves:
         rep.add("warning", "connectivity",
                 "empty divisor counts as disconnected")
     else:
         rep.add("info", "connectivity",
                 "divisor is connected" if is_connected(config)
                 else "divisor is disconnected")
-    return rep
+    return tuple(rep.findings)
 
 
 # ---- JSON serialization -----------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pvcalc import _kernel as K
 from pvcalc.errors import (ChiDomainError, ContextError, ExponentError,
-                           LogPoleError, ParseError)
+                           InputError, LogPoleError, ParseError)
 from pvcalc.motring import (HodgePoly, RingElem, euler_realize, from_hodge,
                             from_int, is_zero, legend, lfactor, lpow,
                             numeric_eval, one, parse_ring_elem, render,
@@ -274,6 +274,15 @@ def test_parse_rejects_garbage():
     for s in ("w +", "(w^2 - 1", "1 / ", "q + 1", "w^^2", ""):
         with pytest.raises(ParseError):
             parse_ring_elem(s, 2)
+
+
+def test_parse_rejects_zero_denominator_factor():
+    # (w^0 - 1) is zero; it used to reach RingElem and escape as a bare
+    # ValueError instead of the documented parse failure
+    for s in ("1/(w^0 - 1)", "1 / (w^0 - 1)^2", "1 / (w * (w^0 - 1))"):
+        with pytest.raises(ParseError) as info:
+            parse_ring_elem(s, 2)
+        assert isinstance(info.value, InputError)
 
 
 def test_render_hodge_forms():

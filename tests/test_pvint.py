@@ -3,14 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from pvcalc.errors import ContextError, LogPoleError, ValidationError
-from pvcalc.motring import (euler_realize, from_hodge, lfactor, lpow,
-                            numeric_eval, one, parse_ring_elem, render,
-                            render_hodge)
+from pvcalc.errors import (ContextError, ExponentError, LogPoleError,
+                           ValidationError)
+from pvcalc.motring import (euler_realize, from_hodge, from_int, lfactor,
+                            lpow, numeric_eval, one, parse_ring_elem, render,
+                            render_hodge, ring_sum)
 from pvcalc.pvint import (e_euler, e_invariant, e_padic, invariant_sum,
                           pv_integral)
-from pvcalc.surface import Config, Curve, plane, ruled
+from pvcalc.surface import (Config, Curve, plane, ruled, stratum_class,
+                            validate)
+
+from test_surface import perturbed_configs
 
 F = Fraction
 
@@ -175,3 +180,61 @@ def test_invariant_cache_consistency():
     assert invariant_sum(a) == invariant_sum(b)
     assert render(parse_ring_elem(render(invariant_sum(a)), 2)) == \
         render(invariant_sum(b))
+
+
+# ---- the stratum sum against its plain loop --------------------------------
+
+
+def reference_invariant_sum(config):
+    """invariant_sum as first written: every term built by its own
+    products, no caches."""
+    d = config.d
+    live = [c for c in config.curves if c.alpha != 0]
+    terms = [from_hodge(stratum_class(config, ()), d)]
+    for c in live:
+        terms.append(from_hodge(stratum_class(config, (c.id,)), d)
+                     * lfactor(c.alpha, d))
+    for i, ci in enumerate(live):
+        for cj in live[i + 1:]:
+            n = config.intersection(ci.id, cj.id)
+            if n:
+                terms.append(from_int(n, d) * lfactor(ci.alpha, d)
+                             * lfactor(cj.alpha, d))
+    for c in config.curves:
+        if c.alpha != 0 or c.self_int == 0:
+            continue
+        t = from_int(-c.self_int, d)
+        for j in config.neighbors[c.id]:
+            t = t * lfactor(config.curve(j).alpha, d)
+        terms.append(t)
+    return ring_sum(terms, d)
+
+
+def stored_or_error(fn, cfg):
+    try:
+        x = fn(cfg)
+    except (ExponentError, LogPoleError) as exc:
+        return type(exc)
+    return (list(x.num.items()), x.wpow, x.cyclo, render(x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_configs())
+def test_invariant_sum_matches_plain_loop(cfg):
+    assert stored_or_error(invariant_sum, cfg) == \
+        stored_or_error(reference_invariant_sum, cfg)
+
+
+def test_invariant_sum_errors_on_invalid_configs():
+    offgrid = Config(2, plane(), [Curve("C", 0, 4, F(-1, 3))], [])
+    assert not validate(offgrid).ok
+    for fn in (invariant_sum, reference_invariant_sum):
+        with pytest.raises(ExponentError, match="exponent -1/3 is not a"):
+            fn(offgrid)
+    log_pair = Config(1, ruled(0),
+                      [Curve("A", 0, 0, 0), Curve("B", 0, -4, 0),
+                       Curve("U1", 0, 0, 1), Curve("U2", 0, 0, 1)],
+                      [("A", "B"), ("A", "U1"), ("B", "U2")])
+    for fn in (invariant_sum, reference_invariant_sum):
+        with pytest.raises(LogPoleError):
+            fn(log_pair)

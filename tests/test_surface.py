@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvcalc.errors import ConfigError, SchemaError
+from pvcalc.models import random_config
 from pvcalc.motring import HodgePoly
 from pvcalc.surface import (Config, Curve, adjunction_defect, curve_class,
                             dump_config, euler_complement, is_allowed,
@@ -225,6 +226,176 @@ def test_validate_log_genus_and_neighbors():
                    Curve("U1", 0, 0, 1), Curve("U2", 0, 0, 1)],
                   [("A", "B"), ("A", "U1"), ("B", "U2")])
     assert any(f.code == "allowed-log-neighbor" for f in validate(pair).errors())
+
+
+def test_returned_report_is_a_copy():
+    cfg = triangle(alphas=(F(1, 2), F(1, 2), F(1, 2)))
+    first = [str(f) for f in validate(cfg).findings]
+    rep = validate(cfg)
+    rep.add("error", "mutated", "added by the caller")
+    rep.findings.append(rep.findings[0])
+    rep.findings.pop(0)
+    assert [str(f) for f in validate(cfg).findings] == first
+    assert validate(cfg) is not validate(cfg)
+
+
+# ---- validation against the Fraction reference --------------------------
+
+
+def reference_adjunction_defect(config, i):
+    """adjunction_defect as first written: Fraction sums over the pairs."""
+    c = config.curve(i)
+    total = c.alpha * c.self_int
+    for (a, b), n in config.pair_counts.items():
+        if i == a:
+            other = b
+        elif i == b:
+            other = a
+        else:
+            continue
+        total += (config.curve(other).alpha - 1) * n
+    return total - (2 * c.genus - 2)
+
+
+def reference_is_allowed(config, i):
+    """is_allowed as first written: a Fraction scan over the points."""
+    c = config.curve(i)
+    if c.alpha != 0:
+        return True
+    if c.genus != 0:
+        return False
+    special = 0
+    for a, b, _ in config.points:
+        if i == a:
+            other = b
+        elif i == b:
+            other = a
+        else:
+            continue
+        al = config.curve(other).alpha
+        if al == 0:
+            return False
+        if al != 1:
+            special += 1
+    return special <= 2
+
+
+def reference_findings(config):
+    """validate as first written, in Fraction arithmetic, as
+    (severity, code, message) triples."""
+    out = []
+    d = config.d
+    for c in config.curves:
+        if (c.alpha * d).denominator != 1:
+            out.append(("error", "alpha-context",
+                        f"alpha {c.alpha} of {c.id} is not a multiple of 1/{d}"))
+    for c in config.curves:
+        defect = reference_adjunction_defect(config, c.id)
+        if defect != 0:
+            out.append(("error", "adjunction",
+                        f"adjunction defect {defect} on {c.id}"))
+    for c in config.curves:
+        if c.alpha != 0 or reference_is_allowed(config, c.id):
+            continue
+        if c.genus != 0:
+            out.append(("error", "allowed-genus",
+                        f"curve {c.id} with alpha 0 must be rational "
+                        f"(genus {c.genus})"))
+            continue
+        bad = [j for j in config.neighbors[c.id]
+               if config.curve(j).alpha == 0]
+        if bad:
+            out.append(("error", "allowed-log-neighbor",
+                        f"curves {c.id} and {bad[0]} both have alpha 0 "
+                        "and intersect"))
+            continue
+        special = sum(n for (a, b), n in config.pair_counts.items()
+                      if c.id in (a, b)
+                      and config.curve(b if a == c.id else a).alpha != 1)
+        out.append(("error", "allowed-points",
+                    f"curve {c.id} with alpha 0 meets curves with alpha != 1 "
+                    f"in {special} points (at most 2)"))
+    out.append(("info", "chi",
+                "euler characteristic of the open complement: "
+                f"{euler_complement(config)}"))
+    if not config.curves:
+        out.append(("warning", "connectivity",
+                    "empty divisor counts as disconnected"))
+    else:
+        out.append(("info", "connectivity",
+                    "divisor is connected" if is_connected(config)
+                    else "divisor is disconnected"))
+    return out
+
+
+PERTURBATIONS = ("alpha", "self", "genus", "offgrid", "zero", "zero-block")
+
+
+@st.composite
+def perturbed_configs(draw):
+    """A random_config output, left valid or broken in up to three of
+    the ways validate reports: alpha +-1/d, self_int +-1, genus + 1, an
+    alpha outside (1/d) Z, alpha 0 on one curve, or alpha 0 on a curve
+    and all its neighbors."""
+    cfg = random_config(draw(st.integers(0, 200)),
+                        max_blowups=draw(st.integers(0, 6)))
+    d = cfg.d
+    curves = {c.id: c for c in cfg.curves}
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.sampled_from(sorted(curves)))
+        kind = draw(st.sampled_from(PERTURBATIONS))
+        sign = draw(st.sampled_from((1, -1)))
+        targets = [i] + (list(cfg.neighbors[i]) if kind == "zero-block"
+                         else [])
+        for j in targets:
+            c = curves[j]
+            genus, self_int, alpha = c.genus, c.self_int, c.alpha
+            if kind == "alpha":
+                alpha += F(sign, d)
+            elif kind == "self":
+                self_int += sign
+            elif kind == "genus":
+                genus += 1
+            elif kind == "offgrid":
+                alpha += F(sign, draw(st.sampled_from((2 * d, d + 1))))
+            else:
+                alpha = F(0)
+            curves[j] = Curve(j, genus, self_int, alpha, c.count_trace)
+    return Config(d, cfg.ambient_hodge, tuple(curves.values()), cfg.points)
+
+
+HAND_CASES = [
+    triangle(),
+    triangle(alphas=(F(1, 2), F(1, 2), F(1, 2))),
+    triangle(alphas=(F(1, 3), F(1, 3), F(-5, 3)), d=2),
+    two_sections([F(1, 2), F(-1, 2), 1, 1]),
+    two_sections([F(1, 2), F(3, 2), -1]),
+    two_sections([F(1, 2), F(3, 2), -1, F(2, 3)]),
+    Config(1, ruled(1), [Curve("C", 1, 0, 0)], []),
+    Config(1, ruled(0),
+           [Curve("A", 0, 0, 0), Curve("B", 0, -4, 0),
+            Curve("U1", 0, 0, 1), Curve("U2", 0, 0, 1)],
+           [("A", "B"), ("A", "U1"), ("B", "U2")]),
+    Config(1, plane(), [], []),
+]
+
+
+@pytest.mark.parametrize("cfg", HAND_CASES)
+def test_validate_matches_fraction_reference_by_hand(cfg):
+    got = [(f.severity, f.code, f.message) for f in validate(cfg).findings]
+    assert got == reference_findings(cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perturbed_configs())
+def test_validate_matches_fraction_reference(cfg):
+    got = [(f.severity, f.code, f.message) for f in validate(cfg).findings]
+    assert got == reference_findings(cfg)
+    for c in cfg.curves:
+        defect = adjunction_defect(cfg, c.id)
+        assert type(defect) is Fraction
+        assert defect == reference_adjunction_defect(cfg, c.id)
+        assert is_allowed(cfg, c.id) == reference_is_allowed(cfg, c.id)
 
 
 # ---- JSON --------------------------------------------------------------
