@@ -19,6 +19,7 @@ import time
 import pvcalc._kernel as kernel
 import pvcalc.motring as motring
 import pvcalc.pvint as pvint
+import pvcalc.surface as surface
 from pvcalc.birational import blow_up, is_exceptional_center
 from pvcalc.models import candidate_centers, random_config
 from pvcalc.pvint import invariant_sum
@@ -41,10 +42,10 @@ def chain_checkpoints():
 
 
 def clear_caches():
-    """Clear invariant_sum's cache, its term caches and lfactor's, so
-    each timed call sums from cold."""
-    for cache in (invariant_sum, pvint._curve_term, pvint._pair_term,
-                  motring._lfactor_cached):
+    """Clear invariant_sum's cache, its term cache, the stratum class
+    caches and lfactor's, so each timed call sums from cold."""
+    for cache in (invariant_sum, pvint._term, surface._curve_stratum,
+                  surface._point_class, motring._lfactor_cached):
         cache.cache_clear()
 
 

@@ -11,10 +11,9 @@ from .motring import (HodgePoly, RingElem, euler_realize, from_hodge,
 from .surface import (Config, Curve, Finding, Report, adjunction_defect,
                       curve_class, dump_config, euler_complement,
                       is_allowed, is_connected, load_config, plane,
-                      read_config, ruled, save_config, stratum_class,
-                      validate)
-from .pvint import (e_euler, e_invariant, e_padic, invariant_sum,
-                    pv_integral)
+                      read_config, ruled, save_config, strata,
+                      stratum_class, validate)
+from .pvint import e_invariant, e_padic, invariant_sum, pv_integral
 from .birational import (BlowupCenter, add_unit_curve, at_point, blow_down,
                          blow_up, exceptional_alphas, exceptional_delta,
                          free, fresh_id, invariance_delta, inverse_center,

@@ -19,9 +19,9 @@ from .errors import InputError, PvError
 from .models import (case_c_resolved, conic_pipeline_demo, hirzebruch_case_a,
                      hirzebruch_case_b, random_config)
 from .motring import euler_realize, legend, render, render_hodge
-from .pvint import e_euler, e_invariant, e_padic, pv_integral
+from .pvint import e_invariant, e_padic, pv_integral
 from .surface import dump_config, load_config, save_config, validate
-from .zeta import (alphas_from_numerical, pole_report, read_datum,
+from .zeta import (alphas_from_numerical, load_datum, pole_report,
                    residue_contribution, save_datum, triangle_datum)
 
 
@@ -35,9 +35,18 @@ def _default_d():
         raise InputError(f"PVCALC_D must be an integer, got {raw!r}") from None
 
 
+def _read_json(path):
+    """The JSON document in a file.  Text that is not UTF-8, not JSON or
+    nested past the parser's recursion limit is malformed input."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"malformed JSON: {exc}") from None
+
+
 def _read_config(path):
-    with open(path) as fh:
-        return load_config(json.load(fh), default_d=_default_d())
+    return load_config(_read_json(path), default_d=_default_d())
 
 
 def _emit_config(cfg, out):
@@ -106,7 +115,7 @@ def cmd_compute(args):
         if not has_log:
             print(f"pv = {render_hodge(pv_integral(cfg))}")
     elif args.realization == "euler":
-        print(e_euler(cfg))
+        print(euler_realize(e_invariant(cfg)))
     else:
         print(_fmt_padic(e_padic(cfg, args.q), cfg.d, args.q))
     return 0
@@ -140,7 +149,7 @@ def cmd_blowdown(args):
 
 
 def cmd_residue(args):
-    datum = read_datum(args.path)
+    datum = load_datum(_read_json(args.path))
     alphas = alphas_from_numerical(datum)
     for cid in sorted(alphas):
         print(f"alpha {cid} = {alphas[cid]}")
@@ -271,9 +280,6 @@ def main(argv=None):
         return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -128,13 +128,21 @@ class HodgePoly:
         return self._hash
 
     def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
         if isinstance(other, int):
             other = HodgePoly.scalar(other)
         if not isinstance(other, HodgePoly):
             return NotImplemented
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            s = out.get(key, 0) + coeff
+            s = out.get(key, 0) + sign * coeff
             if s:
                 out[key] = s
             else:
@@ -144,20 +152,11 @@ class HodgePoly:
         res._hash = None
         return res
 
-    __radd__ = __add__
-
     def __neg__(self):
         res = HodgePoly.__new__(HodgePoly)
         res._terms = {k: -v for k, v in self._terms.items()}
         res._hash = None
         return res
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = HodgePoly.scalar(other)
-        if not isinstance(other, HodgePoly):
-            return NotImplemented
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

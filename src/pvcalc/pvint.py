@@ -1,12 +1,12 @@
 """Principal value invariants of a curve configuration.
 
-The central quantity is a sum over the strata of the divisor: the open
-stratum of each subset I of curves with nonzero exponent contributes its
-class times a product of (L-1)/(L^alpha - 1) factors, and every curve
-with exponent 0 contributes minus its self-intersection times the
-factors of its neighbors.  All arithmetic is exact in the realization
-ring; specializations to Euler characteristics and to point counts over
-finite fields reuse the same stratum bookkeeping.
+The central quantity is a sum over the strata of the divisor
+(surface.strata): each stratum whose curves all have nonzero exponent
+contributes its class times one (L-1)/(L^alpha - 1) factor per curve,
+and every curve with exponent 0 contributes minus its self-intersection
+times the factors of its neighbors.  All arithmetic is exact in the
+realization ring; the Euler characteristic is the euler_realize of the
+invariant, and the point-count specialization corrects it per curve.
 """
 
 from fractions import Fraction
@@ -15,7 +15,7 @@ from functools import lru_cache
 from .errors import ContextError, ExponentError, LogPoleError, ValidationError
 from .motring import (HodgePoly, from_hodge, from_int, lfactor, lpow,
                       numeric_eval, ring_sum)
-from .surface import curve_class, stratum_class, validate
+from .surface import strata, validate
 
 
 @lru_cache(maxsize=None)
@@ -26,15 +26,13 @@ def invariant_sum(config):
     identities that hold formula-wise even on configurations that fail
     validation (the all-exponents-one partition identity, for one).
 
-    Terms, in order: the open stratum; each curve with alpha != 0 (its
-    open part times lfactor); each pair of such curves that meet, in id
-    order; each alpha = 0 curve with nonzero self-intersection.  Curve
-    and pair terms depend only on small integer signatures with
-    m = alpha*d, so they come from caches keyed by those; the terms and
-    the order of every product are those of the plain loop, so the
-    stored result is too.  An alpha outside (1/d) Z raises
-    ExponentError, an alpha = 0 neighbor of a counted alpha = 0 curve
-    LogPoleError, as lfactor does.
+    Terms, in order: the open stratum; each other stratum of strata()
+    whose curves all have alpha != 0, times their lfactors with integer
+    exponents m = alpha*d (from _term); each alpha = 0 curve with
+    nonzero self-intersection.  The terms and the order of every product
+    are those of the plain loop, so the stored result is too.  An alpha
+    outside (1/d) Z raises ExponentError, an alpha = 0 neighbor of a
+    counted alpha = 0 curve LogPoleError, as lfactor does.
     """
     d = config.d
     m = {}
@@ -45,19 +43,13 @@ def invariant_sum(config):
                 raise ExponentError(
                     f"exponent {c.alpha} is not a multiple of 1/{d}")
             m[c.id] = q
-    degree = dict.fromkeys(m, 0)
-    for a, b, _ in config.points:
-        if a in degree:
-            degree[a] += 1
-        if b in degree:
-            degree[b] += 1
-    terms = [from_hodge(stratum_class(config, ()), d)]
-    for c in config.curves:
-        if c.id in m:
-            terms.append(_curve_term(c.genus, degree[c.id], m[c.id], d))
-    for (a, b), n in config.pair_counts.items():
-        if a in m and b in m:
-            terms.append(_pair_term(n, m[a], m[b], d))
+    walk = strata(config)
+    _, open_class = next(walk)
+    terms = [from_hodge(open_class, d)]
+    for ids, h in walk:
+        ms = tuple(map(m.get, ids))
+        if None not in ms:
+            terms.append(_term(tuple(h.items()), ms, d))
     for c in config.curves:
         if c.alpha != 0 or c.self_int == 0:
             continue
@@ -69,17 +61,15 @@ def invariant_sum(config):
 
 
 @lru_cache(maxsize=None)
-def _curve_term(genus, degree, m, d):
-    """A genus-g curve minus its `degree` points, times lfactor(m/d)."""
-    open_part = curve_class(genus) - HodgePoly.scalar(degree)
-    return from_hodge(open_part, d) * lfactor(Fraction(m, d), d)
-
-
-@lru_cache(maxsize=None)
-def _pair_term(n, m_a, m_b, d):
-    """n crossing points of two curves, times both lfactors."""
-    return (from_int(n, d) * lfactor(Fraction(m_a, d), d)
-            * lfactor(Fraction(m_b, d), d))
+def _term(items, ms, d):
+    """from_hodge of the class with these ((eu, ev), coeff) items, times
+    lfactor(m/d) for each m in ms, in order.  Keyed by the items in order,
+    not by a HodgePoly: equal classes can store their terms in different
+    orders, which from_hodge keeps, so they must not share an entry."""
+    t = from_hodge(HodgePoly(dict(items)), d)
+    for m in ms:
+        t = t * lfactor(Fraction(m, d), d)
+    return t
 
 
 def e_invariant(config):
@@ -97,35 +87,6 @@ def pv_integral(config):
             raise LogPoleError(
                 f"logarithmic pole: curve {c.id} has alpha = 0")
     return e_invariant(config) * lpow(-2, config.d)
-
-
-def e_euler(config):
-    """Euler-characteristic specialization, computed by the direct formula.
-
-    Each stratum contributes its topological Euler characteristic times
-    the product of 1/alpha factors.  Agrees exactly with
-    euler_realize(e_invariant(config)).
-    """
-    rep = validate(config)
-    if not rep.ok:
-        raise ValidationError("configuration fails validation:\n" + str(rep), rep)
-    live = [c for c in config.curves if c.alpha != 0]
-    total = Fraction(stratum_class(config, ()).euler())
-    for c in live:
-        total += stratum_class(config, (c.id,)).euler() / c.alpha
-    for i, ci in enumerate(live):
-        for cj in live[i + 1:]:
-            n = config.intersection(ci.id, cj.id)
-            if n:
-                total += Fraction(n) / (ci.alpha * cj.alpha)
-    for c in config.curves:
-        if c.alpha != 0 or c.self_int == 0:
-            continue
-        t = Fraction(-c.self_int)
-        for j in config.neighbors[c.id]:
-            t /= config.curve(j).alpha
-        total += t
-    return total
 
 
 def e_padic(config, q):

@@ -14,7 +14,7 @@ the same pair stay distinguishable.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 import json
 from math import lcm
 
@@ -204,15 +204,13 @@ def ruled(genus):
 
 
 def euler_complement(config):
-    """Topological Euler characteristic of the complement of the divisor.
-
-    chi(X) minus the curves (each chi 2 - 2g) plus the points, which were
-    subtracted twice.
+    """Topological Euler characteristic of the complement of the divisor:
+    the Euler number of the open stratum's class, summed from the class
+    helpers term by term, so that validate builds no polynomial.
     """
-    chi = config.ambient_hodge.euler()
+    chi = config.ambient_hodge.euler() + len(config.points)
     for c in config.curves:
-        chi -= 2 - 2 * c.genus
-    chi += len(config.points)
+        chi -= _curve_stratum(c.genus, 0).euler()
     return chi
 
 
@@ -249,17 +247,48 @@ def stratum_class(config, I):
     for i in ids:
         config.curve(i)
     if len(ids) == 0:
-        h = config.ambient_hodge
-        for c in config.curves:
-            h = h - curve_class(c.genus)
-        h = h + HodgePoly.scalar(len(config.points))
-        return h
+        return _open_class(config)
     if len(ids) == 1:
         c = config.curve(ids[0])
-        return curve_class(c.genus) - HodgePoly.scalar(len(config.points_on(ids[0])))
+        return _curve_stratum(c.genus, len(config.points_on(ids[0])))
     if len(ids) == 2:
-        return HodgePoly.scalar(config.intersection(ids[0], ids[1]))
+        return _point_class(config.intersection(ids[0], ids[1]))
     raise ConfigError("at most two curves pass through any point")
+
+
+def strata(config):
+    """Every nonempty stratum of the divisor as (ids, class), in order:
+    the open stratum (); each curve minus its points (id,), in id order;
+    each meeting pair (a, b) with its count of points, in pair_counts
+    order.  Curve and point classes are cached by their integer
+    signatures, so equal signatures share one HodgePoly."""
+    yield (), _open_class(config)
+    npoints = dict.fromkeys(config.curve_map, 0)
+    for a, b, _ in config.points:
+        npoints[a] += 1
+        npoints[b] += 1
+    for c in config.curves:
+        yield (c.id,), _curve_stratum(c.genus, npoints[c.id])
+    for pair, n in config.pair_counts.items():
+        yield pair, _point_class(n)
+
+
+def _open_class(config):
+    h = config.ambient_hodge
+    for c in config.curves:
+        h = h - _curve_stratum(c.genus, 0)
+    return h + _point_class(len(config.points))
+
+
+@lru_cache(maxsize=None)
+def _curve_stratum(genus, npoints):
+    """A genus-g curve minus npoints points."""
+    return curve_class(genus) - HodgePoly.scalar(npoints)
+
+
+@lru_cache(maxsize=None)
+def _point_class(n):
+    return HodgePoly.scalar(n)
 
 
 def _exponent_tally(config):

@@ -20,11 +20,11 @@ from fractions import Fraction
 import json
 
 from .errors import ConfigError, DataError, GenericityError, SchemaError
-from .motring import HodgePoly, from_hodge, from_int, lfactor, lpow, ring_sum
-from .pvint import invariant_sum
+from .motring import HodgePoly, from_int, lpow, ring_sum
+from .pvint import _term, invariant_sum
 from .surface import (Config, Curve, Report, _ambient_from_json,
                       _ambient_to_json, _as_int, _is_int, euler_complement,
-                      is_connected, stratum_class, validate)
+                      is_connected, strata, validate)
 
 CREATIONS = ("point", "rational_curve", "nonrational_curve")
 
@@ -41,6 +41,8 @@ class ResolutionComponent:
     trace: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id:
+            raise DataError("component id must be a nonempty string")
         if not _is_int(self.N) or self.N < 1:
             raise DataError(f"component {self.id}: N must be a positive integer")
         if not _is_int(self.v) or self.v < 1:
@@ -198,14 +200,11 @@ def zmot_from_surface(datum, j="Ej"):
     cfg = build_config(datum)
     if j in cfg.curve_map:
         raise DataError(f"id {j!r} collides with a component id")
-    strata = [((j,), stratum_class(cfg, ()))]
-    for c in datum.components:
-        strata.append(((j, c.id), stratum_class(cfg, (c.id,))))
-    for (a, b), m in sorted(cfg.pair_counts.items()):
-        strata.append(((j, a, b), HodgePoly.scalar(m)))
     numerical = {c.id: (c.N, c.v) for c in datum.components}
     numerical[j] = (datum.nj, datum.vj)
-    return ZMotDatum(n=2, strata=tuple(strata), numerical=numerical)
+    return ZMotDatum(n=2, strata=tuple(((j,) + ids, h)
+                                       for ids, h in strata(cfg)),
+                     numerical=numerical)
 
 
 def residue_via_substitution(terms, j, d=1):
@@ -227,16 +226,17 @@ def residue_via_substitution(terms, j, d=1):
     for t in terms:
         if j not in t.ids:
             raise DataError("every term must contain the component j")
-        elem = from_hodge(t.hodge, d_eff)
+        ms = []
         for i, N, v in t.factors:
             if i == j:
                 continue
-            a = Fraction(v) - Fraction(vj, nj) * N
-            if a == 0:
+            # alpha_i * d_eff, with alpha_i = v - (vj / nj) * N
+            m = d * (v * nj - vj * N)
+            if m == 0:
                 raise GenericityError(
                     f"substitution pole: component {i} has v/N = {vj}/{nj}")
-            elem = elem * lfactor(a, d_eff)
-        parts.append(elem)
+            ms.append(m)
+        parts.append(_term(tuple(t.hodge.items()), tuple(ms), d_eff))
     total = ring_sum(parts, d_eff)
     lm1 = lpow(1, d_eff) - from_int(1, d_eff)
     n = terms.n if hasattr(terms, "n") else 2

@@ -1,0 +1,40 @@
+"""Independent oracles shared by the tests.
+
+e_euler is the direct Euler-characteristic formula, written stratum by
+stratum in Fraction arithmetic with no ring element; the package itself
+computes the Euler realization as euler_realize(e_invariant(config)).
+"""
+
+from fractions import Fraction
+
+from pvcalc.errors import ValidationError
+from pvcalc.surface import stratum_class, validate
+
+
+def e_euler(config):
+    """Euler-characteristic specialization, computed by the direct formula.
+
+    Each stratum contributes its topological Euler characteristic times
+    the product of 1/alpha factors.  Agrees exactly with
+    euler_realize(e_invariant(config)).
+    """
+    rep = validate(config)
+    if not rep.ok:
+        raise ValidationError("configuration fails validation:\n" + str(rep), rep)
+    live = [c for c in config.curves if c.alpha != 0]
+    total = Fraction(stratum_class(config, ()).euler())
+    for c in live:
+        total += stratum_class(config, (c.id,)).euler() / c.alpha
+    for i, ci in enumerate(live):
+        for cj in live[i + 1:]:
+            n = config.intersection(ci.id, cj.id)
+            if n:
+                total += Fraction(n) / (ci.alpha * cj.alpha)
+    for c in config.curves:
+        if c.alpha != 0 or c.self_int == 0:
+            continue
+        t = Fraction(-c.self_int)
+        for j in config.neighbors[c.id]:
+            t /= config.curve(j).alpha
+        total += t
+    return total

@@ -17,12 +17,14 @@ from pvcalc.models import (candidate_centers, case_c_resolved,
                            hirzebruch_case_b, plane_conic, random_config)
 from pvcalc.motring import (euler_realize, from_int, lfactor, lpow,
                             numeric_eval, one, render, ring_sum)
-from pvcalc.pvint import e_euler, e_invariant, e_padic
+from pvcalc.pvint import e_invariant, e_padic
 from pvcalc.surface import stratum_class, validate
 from pvcalc.zeta import (ResolutionComponent, SurfaceResolutionDatum,
                          build_config, pole_report, residue_contribution,
                          residue_via_substitution, triangle_datum,
                          zmot_contribution, zmot_from_surface)
+
+from oracles import e_euler
 
 F = Fraction
 

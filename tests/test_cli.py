@@ -106,6 +106,17 @@ def test_compute_euler(conic_file, capsys):
     assert capsys.readouterr().out.strip() == "-3"
 
 
+def test_compute_euler_positive_genus(tmp_path, capsys):
+    # a plane cubic (genus 1, alpha 1/2) and a line through 3 of its points
+    cfg = Config(2, plane(), [Curve("C", 1, 9, F(1, 2)),
+                              Curve("L", 0, 1, F(-1, 2))],
+                 [("C", "L", k) for k in range(3)])
+    path = tmp_path / "cubic.json"
+    save_config(cfg, path)
+    assert main(["compute", str(path), "--realization", "euler"]) == 0
+    assert capsys.readouterr().out == "-12\n"
+
+
 def test_compute_padic(conic_file, capsys):
     assert main(["compute", conic_file, "--realization", "padic",
                  "--q", "9"]) == 0

@@ -3,18 +3,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
+from pvcalc.birational import blow_up, free
 from pvcalc.errors import (ContextError, ExponentError, LogPoleError,
                            ValidationError)
+from pvcalc.models import candidate_centers
 from pvcalc.motring import (euler_realize, from_hodge, from_int, lfactor,
                             lpow, numeric_eval, one, parse_ring_elem, render,
                             render_hodge, ring_sum)
-from pvcalc.pvint import (e_euler, e_invariant, e_padic, invariant_sum,
-                          pv_integral)
+from pvcalc.pvint import e_invariant, e_padic, invariant_sum, pv_integral
 from pvcalc.surface import (Config, Curve, plane, ruled, stratum_class,
                             validate)
 
+from oracles import e_euler
 from test_surface import perturbed_configs
 
 F = Fraction
@@ -150,6 +152,61 @@ def test_euler_routes_agree():
     ]
     for cfg in fixtures:
         assert e_euler(cfg) == euler_realize(e_invariant(cfg))
+
+
+def cubic_and_line(a, d):
+    """A plane cubic (genus 1) and a line through 3 of its points; the
+    adjunction identities leave alpha_line = 1 - 3 alpha_cubic."""
+    return Config(d, plane(), [Curve("C", 1, 9, a), Curve("L", 0, 1, 1 - 3 * a)],
+                  [("C", "L", k) for k in range(3)])
+
+
+def section_and_fibres(genus, fibre_alphas, d):
+    """A genus-g section of self-intersection 0 on ruled(g), alpha -1,
+    crossed once by each fibre."""
+    curves = [Curve("S", genus, 0, -1)]
+    curves += [Curve(f"F{k}", 0, 0, a) for k, a in enumerate(fibre_alphas, 1)]
+    return Config(d, ruled(genus), curves,
+                  [(f"F{k}", "S") for k in range(1, len(fibre_alphas) + 1)])
+
+
+def positive_genus_fixtures():
+    """Valid configurations with a positive-genus curve, each with every
+    one-step blow-up; point blow-ups of cubic_and_line make an alpha = 0
+    curve of self-intersection -1."""
+    base = [
+        cubic_and_line(F(1, 2), 2),
+        cubic_and_line(F(2, 3), 3),
+        cubic_and_line(F(-1, 3), 3),
+        Config(4, plane(), [Curve("Q", 3, 16, F(1, 4))], []),   # quartic
+        section_and_fibres(1, [0, 1, 2], 1),
+        section_and_fibres(2, [F(1, 2), F(7, 2)], 2),
+    ]
+    out = []
+    for cfg in base:
+        out.append(cfg)
+        out += [blow_up(cfg, c) for c in candidate_centers(cfg) + [free()]]
+    return out
+
+
+def test_euler_oracle_positive_genus_and_log_curves():
+    fixtures = positive_genus_fixtures()
+    values = set()
+    for cfg in fixtures:
+        assert validate(cfg).ok
+        value = euler_realize(e_invariant(cfg))
+        assert e_euler(cfg) == value
+        values.add(value)
+    assert values >= {-12, -4, 8, -9, 0}
+    assert any(c.alpha == 0 and c.self_int != 0
+               for cfg in fixtures for c in cfg.curves)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_configs())
+def test_euler_oracle_on_valid_perturbed_configs(cfg):
+    assume(validate(cfg).ok)
+    assert e_euler(cfg) == euler_realize(e_invariant(cfg))
 
 
 # ---- point counts with positive genus -------------------------------------

@@ -13,7 +13,8 @@ from pvcalc.motring import HodgePoly
 from pvcalc.surface import (Config, Curve, adjunction_defect, curve_class,
                             dump_config, euler_complement, is_allowed,
                             is_connected, load_config, plane, read_config,
-                            ruled, save_config, stratum_class, validate)
+                            ruled, save_config, strata, stratum_class,
+                            validate)
 
 F = Fraction
 
@@ -120,14 +121,46 @@ def test_euler_complement_examples():
         assert euler_complement(cfg) == 2 - m
 
 
-def test_stratum_partition_is_exhaustive():
-    cfg = triangle()
+def conic_and_line():
+    """A conic and a line in the plane, meeting in two points."""
+    return Config(1, plane(), [Curve("C", 0, 4, 1), Curve("L", 0, 1, 1)],
+                  [("C", "L", 0), ("C", "L", 1)])
+
+
+def stratum_total(cfg):
+    """The sum of every stratum class, each pair stratum once: its class
+    already counts its points."""
     total = stratum_class(cfg, ())
     for c in cfg.curves:
         total = total + stratum_class(cfg, (c.id,))
-    for (a, b), n in cfg.pair_counts.items():
-        total = total + n * stratum_class(cfg, (a, b))
-    assert total == cfg.ambient_hodge
+    for pair in cfg.pair_counts:
+        total = total + stratum_class(cfg, pair)
+    return total
+
+
+def check_strata(cfg):
+    """strata() yields the stratum_class of every nonempty stratum, in
+    its documented order."""
+    walk = list(strata(cfg))
+    assert [ids for ids, _ in walk] == (
+        [()] + [(c.id,) for c in cfg.curves] + list(cfg.pair_counts))
+    for ids, h in walk:
+        assert h == stratum_class(cfg, ids)
+
+
+def test_stratum_partition_is_exhaustive():
+    for cfg in (triangle(), conic_and_line()):
+        assert stratum_total(cfg) == cfg.ambient_hodge
+        check_strata(cfg)
+    assert stratum_class(conic_and_line(), ("C", "L")) == HodgePoly.scalar(2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 10))
+def test_strata_match_stratum_class_random(seed, blowups):
+    cfg = random_config(seed, max_blowups=blowups)
+    assert stratum_total(cfg) == cfg.ambient_hodge
+    check_strata(cfg)
 
 
 def test_stratum_class_values():
@@ -495,10 +528,7 @@ def test_partition_identity_random(g, m):
     curves += [Curve(f"F{k}", 0, 0, 1) for k in range(m)]
     pts = [("Z", f"F{k}") for k in range(m)]
     cfg = Config(1, ruled(g), curves, pts)
-    total = stratum_class(cfg, ())
-    for c in cfg.curves:
-        total = total + stratum_class(cfg, (c.id,))
-    for (a, b), n in cfg.pair_counts.items():
-        total = total + n * stratum_class(cfg, (a, b))
+    total = stratum_total(cfg)
     assert total == cfg.ambient_hodge
     assert total.euler() == cfg.ambient_hodge.euler()
+    check_strata(cfg)

@@ -4,12 +4,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvcalc.errors import DataError, GenericityError, SchemaError
-from pvcalc.motring import (HodgePoly, from_int, lpow, numeric_eval, one,
-                            render)
+from pvcalc.models import random_config
+from pvcalc.motring import (HodgePoly, from_hodge, from_int, lfactor, lpow,
+                            numeric_eval, one, render, ring_sum)
+from pvcalc.surface import strata
 from pvcalc.zeta import (ResolutionComponent, SurfaceResolutionDatum, ZMotDatum,
-                         ZTerm, alphas_from_numerical, build_config,
+                         ZTerm, ZTermList, alphas_from_numerical, build_config,
                          dump_datum, load_datum, pole_report, read_datum,
                          residue_contribution, residue_via_substitution,
                          save_datum, triangle_datum, zmot_contribution,
@@ -210,12 +214,120 @@ def test_substitution_wider_context():
 
 def test_substitution_guards():
     bad = ZTerm(("A",), HodgePoly.one(), (("A", 2, 1),))
-    from pvcalc.zeta import ZTermList
     with pytest.raises(DataError):
         residue_via_substitution(ZTermList(2, "Ej", (bad,)), "Ej")
     pole = ZTerm(("Ej", "A"), HodgePoly.one(), (("Ej", 2, 1), ("A", 2, 1)))
     with pytest.raises(GenericityError):
         residue_via_substitution(ZTermList(2, "Ej", (pole,)), "Ej")
+
+
+def reference_residue_via_substitution(terms, j, d=1):
+    """residue_via_substitution as first written: every term built by
+    its own products, each exponent in Fraction arithmetic, no caches."""
+    numerical = {}
+    for t in terms:
+        for i, N, v in t.factors:
+            numerical[i] = (N, v)
+    if j not in numerical:
+        raise DataError(f"component {j!r} does not appear in the terms")
+    nj, vj = numerical[j]
+    d_eff = d * nj
+    parts = []
+    for t in terms:
+        if j not in t.ids:
+            raise DataError("every term must contain the component j")
+        elem = from_hodge(t.hodge, d_eff)
+        for i, N, v in t.factors:
+            if i == j:
+                continue
+            a = Fraction(v) - Fraction(vj, nj) * N
+            if a == 0:
+                raise GenericityError(
+                    f"substitution pole: component {i} has v/N = {vj}/{nj}")
+            elem = elem * lfactor(a, d_eff)
+        parts.append(elem)
+    total = ring_sum(parts, d_eff)
+    lm1 = lpow(1, d_eff) - from_int(1, d_eff)
+    n = terms.n if hasattr(terms, "n") else 2
+    return total * lm1 * lpow(vj, d_eff) * lpow(-(n + 1), d_eff)
+
+
+def numerical_data(cfg, scale):
+    """(N, v) per curve and (N_j, v_j) whose induced exponents are the
+    curves' alphas, with N_j = d * scale; alpha 0 gives a pole."""
+    out = {}
+    for c in cfg.curves:
+        m = int(c.alpha * cfg.d)
+        v = max(1, -(-(m + 1) // cfg.d))
+        out[c.id] = (cfg.d * v - m, v)
+    return out, (cfg.d * scale, scale)
+
+
+@st.composite
+def substitution_terms(draw):
+    """Hand-built ZTerms of a random_config's strata (all of them, or
+    some, in a drawn order), with data at scale 1 or 2.  A curve with
+    alpha 0 makes a pole; a term's class may hold its Hodge terms in
+    reverse order, which is equal but stores differently."""
+    cfg = random_config(draw(st.integers(0, 300)),
+                        max_blowups=draw(st.integers(0, 6)))
+    numerical, (nj, vj) = numerical_data(cfg, draw(st.sampled_from((1, 2))))
+    terms = []
+    for ids, h in strata(cfg):
+        if draw(st.booleans()):
+            h = HodgePoly(dict(reversed(list(h.items()))))
+        factors = [(i,) + numerical[i] for i in ids]
+        factors = draw(st.permutations(factors + [("Ej", nj, vj)]))
+        terms.append(ZTerm(("Ej",) + ids, h, tuple(factors)))
+    if draw(st.booleans()):
+        terms = draw(st.lists(st.sampled_from(terms), min_size=1,
+                              max_size=len(terms)))
+    return ZTermList(2, "Ej", tuple(terms))
+
+
+def stored_or_error(fn, *args):
+    try:
+        x = fn(*args)
+    except (DataError, GenericityError) as exc:
+        return type(exc), str(exc)
+    return (list(x.num.items()), x.wpow, x.cyclo, render(x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitution_terms(), st.sampled_from((1, 2)))
+def test_substitution_matches_fraction_reference(terms, d):
+    assert stored_or_error(residue_via_substitution, terms, "Ej", d) == \
+        stored_or_error(reference_residue_via_substitution, terms, "Ej", d)
+
+
+def test_substitution_keeps_each_class_order():
+    # equal classes that hold their terms in different orders store
+    # differently, so they must not share a cached term
+    line = HodgePoly({(1, 1): 1, (0, 0): -1})
+    flipped = HodgePoly({(0, 0): -1, (1, 1): 1})
+    assert line == flipped
+    for h in (line, flipped, line):
+        terms = ZTermList(2, "Ej", (
+            ZTerm(("A", "Ej"), h, (("A", 3, 1), ("Ej", 2, 1))),))
+        assert stored_or_error(residue_via_substitution, terms, "Ej") == \
+            stored_or_error(reference_residue_via_substitution, terms, "Ej")
+
+
+def test_substitution_matches_fraction_reference_on_data():
+    for datum in (triangle_datum(), conic_datum(), two_conics_datum()):
+        terms = zmot_contribution(zmot_from_surface(datum), "Ej")
+        for d in (1, 2):
+            assert stored_or_error(residue_via_substitution, terms, "Ej", d) \
+                == stored_or_error(reference_residue_via_substitution,
+                                   terms, "Ej", d)
+    pole = ZTermList(2, "Ej", (
+        ZTerm(("Ej",), PLANE, (("Ej", 2, 1),)),
+        ZTerm(("A", "Ej"), HodgePoly.one(), (("A", 3, 1), ("Ej", 2, 1))),
+        ZTerm(("B", "Ej"), HodgePoly.one(), (("B", 4, 2), ("Ej", 2, 1)))))
+    for fn in (residue_via_substitution, reference_residue_via_substitution):
+        with pytest.raises(GenericityError,
+                           match="component B has v/N = 1/2"):
+            fn(pole, "Ej")
 
 
 # ---- verdicts ------------------------------------------------------------------
