@@ -38,6 +38,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from . import _kernel as K
 from .errors import (
@@ -62,35 +63,21 @@ __all__ = [
 class HodgePoly:
     """Polynomial in the Hodge variables u, v with int coefficients.
 
-    INPUT: a dict {(eu, ev): coeff} or an iterable of (eu, ev, coeff)
-    triples.  Instances are immutable by convention; all operations
-    return new objects.
+    INPUT: a dict {(eu, ev): coeff} with nonnegative exponents, or
+    nothing for zero.  Zero coefficients are dropped; the other terms
+    keep the dict's order.  Instances are immutable by convention; all
+    operations return new objects.
     """
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms=()):
+    def __init__(self, terms=None):
         data = {}
-        if isinstance(terms, HodgePoly):
-            data.update(terms._terms)
-        elif isinstance(terms, dict):
-            for (eu, ev), coeff in terms.items():
-                if coeff:
-                    data[(int(eu), int(ev))] = data.get((eu, ev), 0) + coeff
-        else:
-            for eu, ev, coeff in terms:
-                if coeff:
-                    key = (int(eu), int(ev))
-                    s = data.get(key, 0) + coeff
-                    if s:
-                        data[key] = s
-                    else:
-                        del data[key]
-        for (eu, ev), coeff in list(data.items()):
-            if eu < 0 or ev < 0:
-                raise ValueError("negative exponent in Hodge polynomial")
-            if not coeff:
-                del data[(eu, ev)]
+        for (eu, ev), coeff in (terms or {}).items():
+            if coeff:
+                if eu < 0 or ev < 0:
+                    raise ValueError("negative exponent in Hodge polynomial")
+                data[(int(eu), int(ev))] = coeff
         self._terms = data
         self._hash = None
 
@@ -609,116 +596,49 @@ def _int_root(q, d):
     return m if m >= 2 and m ** d == q else None
 
 
-class _QExt:
-    """Q[x] / (x^d - q) with dense Fraction-coefficient vectors."""
+def _cyclo_solve(y, k, q):
+    """(r - 1) * y / (x^k - 1) in Z[x]/(x^d - q), and r - 1.
 
-    def __init__(self, d, q):
-        self.d = d
-        self.q = q
-
-    def scalar(self, a):
-        vec = [Fraction(0)] * self.d
-        vec[0] = Fraction(a)
-        return vec
-
-    def xpow(self, e):
-        # q is a unit: x^-1 = x^(d-1)/q
-        d, q = self.d, self.q
-        vec = [Fraction(0)] * d
-        alpha, beta = divmod(e, d)
-        vec[beta] = Fraction(q) ** alpha
-        return vec
-
-    def add(self, a, b):
-        return [x + y for x, y in zip(a, b)]
-
-    def scale(self, a, c):
-        return [x * c for x in a]
-
-    def mul(self, a, b):
-        d, q = self.d, self.q
-        out = [Fraction(0)] * d
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                k = i + j
-                if k >= d:
-                    out[k - d] += x * y * q
-                else:
-                    out[k] += x * y
-        return out
-
-    def inv(self, a):
-        # extended Euclid against x^d - q in Q[x]
-        d, q = self.d, self.q
-        mod = [Fraction(-q)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
-        r0, r1 = mod, list(a) + [Fraction(0)]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            while len(r1) > 1 and not r1[-1]:
-                r1.pop()
-            quo, rem = _polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _polysub(s0, _polymul(quo, s1))
-        while len(r0) > 1 and not r0[-1]:
-            r0.pop()
-        if len(r0) != 1 or not r0[0]:
-            raise ZeroDivisionError("denominator not invertible mod x^d - q")
-        inv_scale = 1 / r0[0]
-        out = [c * inv_scale for c in s0]
-        out = out[:d] + [Fraction(0)] * max(0, d - len(out))
-        # s0 may have degree >= d only if a was unreduced; it is not
-        return out[:d]
-
-
-def _polydivmod(a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    if db < 0 or not lb:
-        raise ZeroDivisionError
-    quo = [Fraction(0)] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            f = c / lb
-            quo[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return quo, a[:db] if db else [Fraction(0)]
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, y in enumerate(b):
-        a[i] -= y
-    return a
+    Multiplying by x^k moves slot i to j = (i + k) mod d with a carry
+    q^((i + k) // d), so z = y / (x^k - 1) obeys
+    z[j] = carry_i * z[i] - y[j].  The map i -> j splits the slots into
+    gcd(k, d) cycles; round one cycle the carries multiply to
+    r = q^(k / gcd(k, d)) >= 2, which is why x^k - 1 is a unit.  A
+    Horner pass round each cycle gives (r - 1) * z at its start, and
+    the recurrence gives the rest of the cycle, all in integers.
+    """
+    d = len(y)
+    g = gcd(k, d)
+    step, base = k % d, q ** (k // d)
+    r1 = q ** (k // g) - 1
+    z = [0] * d
+    for start in range(g):
+        cycle = [(start + j * step) % d for j in range(d // g)]
+        carry = [base * q if i + step >= d else base for i in cycle]
+        acc = 0
+        for a, j in zip(carry, cycle[1:] + cycle[:1]):
+            acc = acc * a + y[j]
+        z[start] = acc
+        for a, i, j in zip(carry, cycle, cycle[1:]):
+            z[j] = a * z[i] - r1 * y[j]
+    return z, r1
 
 
 def numeric_eval(x, q):
     """Point-count style evaluation at u = q, v = 1, w = x with
-    x^d = q, as a coefficient vector over Q.
+    x^d = q, as a coefficient vector over Q.  q must be an int >= 2.
 
     When q is a perfect d-th power m^d the evaluation factors further
     through x -> m and a single rational comes back ([value]); else
-    the result is the length-d coefficient vector mod x^d - q.
+    the result is the length-d coefficient vector mod x^d - q.  That
+    vector is computed exactly over Z with one common denominator:
+    every stored denominator factor is a unit mod x^d - q (x because
+    x^d = q, and x^k - 1 by _cyclo_solve), so each is divided out in
+    closed form and Fractions are only built for the result.
     """
-    d = x.d
-    q = int(q)
-    if q < 2:
+    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
         raise ValueError("q must be an integer >= 2")
+    d = x.d
     m = _int_root(q, d)
     if m is not None:
         numval = 0
@@ -730,18 +650,23 @@ def numeric_eval(x, q):
         for k in x.cyclo:
             denval *= m ** k - 1
         return [Fraction(numval, denval)]
-    ext = _QExt(d, q)
-    num = ext.scalar(0)
+    # u^t w^c -> q^(t+ + c // d) x^(c % d)
+    vec = [0] * d
     for key, coeff in x.num.items():
-        t = K.key_t(key)
-        c = K.key_c(key)
-        term = ext.xpow(c)
-        scale = Fraction(coeff) * (Fraction(q) ** t if t > 0 else 1)
-        num = ext.add(num, ext.scale(term, scale))
-    den = ext.xpow(x.wpow)
+        e, i = divmod(K.key_c(key), d)
+        vec[i] += coeff * q ** (max(K.key_t(key), 0) + e)
+    den = 1
+    if x.wpow:
+        # 1 / x^wpow = x^e / q^s with s = ceil(wpow / d), e = d*s - wpow;
+        # times x^e, the top e slots wrap round to the bottom times q
+        s = -(-x.wpow // d)
+        e = d * s - x.wpow
+        vec = [q * v for v in vec[d - e:]] + vec[:d - e]
+        den = q ** s
     for k in x.cyclo:
-        den = ext.mul(den, ext.add(ext.xpow(k), ext.scalar(-1)))
-    return ext.mul(num, ext.inv(den))
+        vec, r1 = _cyclo_solve(vec, k, q)
+        den *= r1
+    return [Fraction(v, den) for v in vec]
 
 
 # ---------------------------------------------------------------------------
@@ -752,14 +677,14 @@ def legend(d):
     return "w = L" if d == 1 else f"w = L^(1/{d})"
 
 
-def _w_monomial(t, c, coeff):
+def _monomial(t, c, coeff, wpow):
     vars_ = []
     if t > 0:
         vars_.append("u" if t == 1 else f"u^{t}")
     elif t < 0:
         vars_.append("v" if t == -1 else f"v^{-t}")
     if c:
-        vars_.append("w" if c == 1 else f"w^{c}")
+        vars_.append(wpow(c))
     if not vars_:
         return str(coeff)
     if coeff != 1:
@@ -767,7 +692,7 @@ def _w_monomial(t, c, coeff):
     return "*".join(vars_)
 
 
-def _render_num(num, monomial):
+def _render_num(num, wpow):
     keys = sorted(num, key=lambda k: (K.key_c(k), K.key_t(k)), reverse=True)
     negate = all(num[k] < 0 for k in keys)
     parts = []
@@ -775,7 +700,7 @@ def _render_num(num, monomial):
         coeff = num[key]
         if negate:
             coeff = -coeff
-        frag = monomial(K.key_t(key), K.key_c(key), abs(coeff))
+        frag = _monomial(K.key_t(key), K.key_c(key), abs(coeff), wpow)
         if i == 0:
             parts.append(("-" if coeff < 0 else "") + frag)
         else:
@@ -786,25 +711,34 @@ def _render_num(num, monomial):
     return body
 
 
-def render(x):
-    """Canonical text form.  Round-trips through parse_ring_elem."""
+def _render(x, wpow):
+    """Text form of x, with wpow(c) writing the power w^c."""
     if not x.num:
         return "0"
-    numstr = _render_num(x.num, _w_monomial)
+    numstr = _render_num(x.num, wpow)
     if not x.wpow and not x.cyclo:
         return numstr
     if len(x.num) > 1 and not numstr.startswith("-("):
         numstr = "(" + numstr + ")"
     factors = []
     if x.wpow:
-        factors.append("w" if x.wpow == 1 else f"w^{x.wpow}")
+        factors.append(wpow(x.wpow))
     counts = Counter(x.cyclo)
     for k in sorted(counts):
-        base = "(w - 1)" if k == 1 else f"(w^{k} - 1)"
+        base = f"({wpow(k)} - 1)"
         e = counts[k]
         factors.append(base if e == 1 else f"{base}^{e}")
     den = factors[0] if len(factors) == 1 else "(" + " * ".join(factors) + ")"
     return numstr + " / " + den
+
+
+def _w_power(c):
+    return "w" if c == 1 else f"w^{c}"
+
+
+def render(x):
+    """Canonical text form.  Round-trips through parse_ring_elem."""
+    return _render(x, _w_power)
 
 
 def _uv_power(c, d):
@@ -816,45 +750,10 @@ def _uv_power(c, d):
     return f"(u*v)^({e})"
 
 
-def _hodge_monomial_factory(d):
-    def mono(t, c, coeff):
-        vars_ = []
-        if t > 0:
-            vars_.append("u" if t == 1 else f"u^{t}")
-        elif t < 0:
-            vars_.append("v" if t == -1 else f"v^{-t}")
-        if c:
-            vars_.append(_uv_power(c, d))
-        if not vars_:
-            return str(coeff)
-        if coeff != 1:
-            vars_.insert(0, str(coeff))
-        return "*".join(vars_)
-
-    return mono
-
-
 def render_hodge(x):
     """Same element displayed with (u*v)^(k/d) in place of w^k (uv = L).
     Display form only; the canonical parser does not read it."""
-    if not x.num:
-        return "0"
-    d = x.d
-    numstr = _render_num(x.num, _hodge_monomial_factory(d))
-    if not x.wpow and not x.cyclo:
-        return numstr
-    if len(x.num) > 1 and not numstr.startswith("-("):
-        numstr = "(" + numstr + ")"
-    factors = []
-    if x.wpow:
-        factors.append(_uv_power(x.wpow, d))
-    counts = Counter(x.cyclo)
-    for k in sorted(counts):
-        base = f"({_uv_power(k, d)} - 1)"
-        e = counts[k]
-        factors.append(base if e == 1 else f"{base}^{e}")
-    den = factors[0] if len(factors) == 1 else "(" + " * ".join(factors) + ")"
-    return numstr + " / " + den
+    return _render(x, lambda c: _uv_power(c, x.d))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 import json
 from math import lcm
+import re
 
 from .errors import ConfigError, SchemaError
 from .motring import HodgePoly
@@ -34,17 +35,24 @@ def _as_int(x, what):
     return x
 
 
+_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+
+
 def _as_fraction(a):
+    """A Fraction, an int, or a "p" or "p/q" string of integers, as a
+    Fraction.  Decimal and exponent literals are refused: Fraction
+    expands "1e100000000" digit by digit.  int()'s digit limit refuses
+    an overlong literal."""
     if isinstance(a, Fraction):
         return a
     if _is_int(a):
         return Fraction(a)
-    if isinstance(a, str):
+    if isinstance(a, str) and _RATIONAL.fullmatch(a):
         try:
             return Fraction(a)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad rational literal {a!r}") from exc
-    raise ConfigError(f"cannot read {a!r} as a rational number")
+    raise ConfigError(f"cannot read {a!r} as a rational number p or p/q")
 
 
 @dataclass(frozen=True)

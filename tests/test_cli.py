@@ -336,8 +336,12 @@ def test_malformed_json(tmp_path, capsys):
     lambda o: o["curves"][0].__setitem__("genus", False),
     lambda o: o["curves"][0].__setitem__("self_int", True),
     lambda o: o["points"][0].__setitem__(2, True),
+    lambda o: o["curves"][0].__setitem__("alpha", "1e3"),
+    lambda o: o["curves"][0].__setitem__("alpha", "0.5"),
+    # Fraction would expand this exponent for a very long time
+    lambda o: o["curves"][0].__setitem__("alpha", "1e100000000"),
 ], ids=["ambient-list", "d-bool", "genus-bool", "self_int-bool",
-        "index-bool"])
+        "index-bool", "alpha-exponent", "alpha-decimal", "alpha-huge"])
 def test_config_schema_exit_code(pattern_file, tmp_path, capsys, mutate):
     assert main(["compute", pattern_file]) == 0
     with open(pattern_file) as fh:

@@ -18,7 +18,11 @@ from pvcalc.surface import dump_config, load_config
 from pvcalc.zeta import dump_datum, load_datum, triangle_datum
 
 SMALL_INTS = st.integers(-3, 6) | st.sampled_from([2 ** 31, -(2 ** 40)])
-SCALARS = (st.none() | st.booleans() | SMALL_INTS
+# decimal and exponent literals, which Fraction would read (an exponent
+# of up to nine digits expanded digit by digit)
+DECIMALS = st.from_regex(
+    r"[-+]?[0-9]{0,3}(\.[0-9]{0,3})?([eE][-+]?[0-9]{1,9})?", fullmatch=True)
+SCALARS = (st.none() | st.booleans() | SMALL_INTS | DECIMALS
            | st.floats(allow_nan=True, allow_infinity=True)
            | st.sampled_from(["", "1/2", "-1/2", "1/0", "x", "A", "B", "C",
                               "plane", "ruled", "custom", "point",
@@ -92,6 +96,19 @@ def test_load_config_raises_only_schema_error(obj):
 @given(DATA)
 def test_load_datum_raises_only_schema_error(obj):
     _loads_or_schema_error(load_datum, obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DECIMALS)
+@example("1e100000000")
+def test_load_config_refuses_decimal_alpha(text):
+    doc = json.loads(json.dumps(CONFIG_DOC))
+    doc["curves"][0]["alpha"] = text
+    try:
+        load_config(doc)
+    except SchemaError:
+        return
+    assert not {".", "e", "E"} & set(text), text
 
 
 RING_TEXT = st.text(alphabet="uvw0123456789^*()/+- ", max_size=24)

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pvcalc import _kernel as K
@@ -237,6 +237,70 @@ def test_numeric_eval_is_multiplicative():
     for q in (2, 3, 5):
         assert numeric_eval(x * y, q) == mul(numeric_eval(x, q),
                                              numeric_eval(y, q), q)
+
+
+def test_numeric_eval_rejects_non_int_q():
+    # a float used to be truncated (2.9 -> 2) and a digit string read
+    for q in (2.9, 3.0, "7", True, F(3), 1, -5):
+        with pytest.raises(ValueError):
+            numeric_eval(lpow(1, 1), q)
+
+
+def _reduce(p, d, q):
+    """Coefficients (lowest first) of a polynomial mod x^d - q."""
+    p = list(p) + [0] * d
+    for i in range(len(p) - 1, d - 1, -1):
+        p[i - d] += q * p[i]
+    return p[:d]
+
+
+def _mulmod(a, b, d, q):
+    """Schoolbook product in Q[x]/(x^d - q)."""
+    out = [0] * (2 * d)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _reduce(out, d, q)
+
+
+@st.composite
+def realization_elems(draw):
+    """Sums of products of lfactor, lpow and Hodge monomials at d 1..12."""
+    d = draw(st.integers(1, 12))
+    exps = st.integers(-3 * d, 3 * d).filter(bool).map(lambda m: F(m, d))
+    x = zero(d)
+    for _ in range(draw(st.integers(1, 3))):
+        t = from_int(draw(st.integers(-3, 3)), d)
+        for _ in range(draw(st.integers(0, 3))):
+            make = draw(st.sampled_from([lfactor, lpow]))
+            t = t * make(draw(exps), d)
+        h = HodgePoly({(draw(st.integers(0, 3)), draw(st.integers(0, 3))): 1})
+        x = x + t * from_hodge(h, d)
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(realization_elems(),
+       st.sampled_from([2, 3, 4, 5, 6, 8, 12, 64, 10 ** 30 + 1]))
+# reducible moduli: x^4 - 4, x^6 - 8, x^12 - 64
+@example(lfactor(F(5, 4), 4) * lfactor(F(-2, 4), 4) * lpow(F(-3, 4), 4), 4)
+@example(lfactor(F(3, 6), 6) * lfactor(F(4, 6), 6) * lpow(F(-7, 6), 6), 8)
+@example(lfactor(F(8, 12), 12) * lfactor(F(-9, 12), 12), 64)
+def test_numeric_eval_inverts_the_denominator(x, q):
+    # a q that is no perfect d-th power gives the length-d vector; at
+    # d = 1 the perfect-power value is that vector
+    d = x.d
+    assume(d == 1 or _int_root(q, d) is None)
+    num = [0] * (max(map(K.key_c, x.num), default=0) + 1)
+    for key, coeff in x.num.items():
+        num[K.key_c(key)] += coeff * q ** max(K.key_t(key), 0)
+    num_vec = _reduce(num, d, q)
+    den = _reduce([0] * x.wpow + [1], d, q)
+    for k in x.cyclo:
+        den = _mulmod(den, _reduce([-1] + [0] * (k - 1) + [1], d, q), d, q)
+    vec = numeric_eval(x, q)
+    assert len(vec) == d
+    assert _mulmod(vec, den, d, q) == num_vec
 
 
 # ---- rendering and parsing ---------------------------------------------

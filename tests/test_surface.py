@@ -492,6 +492,17 @@ def test_json_schema_errors():
             load_config(obj)
 
 
+def test_alpha_literals():
+    # only integers and p or p/q strings of ASCII digits are rationals
+    for text, want in (("1/2", F(1, 2)), ("-3", F(-3)), ("+4/6", F(2, 3))):
+        assert Curve("A", 0, 1, text).alpha == want
+    assert Curve("A", 0, 1, 2).alpha == 2
+    for text in ("1e3", "0.5", "1e100000000", " 1/2", "1_000", "\u0663",
+                 "1" * 5000):
+        with pytest.raises(ConfigError):
+            Curve("A", 0, 1, text)
+
+
 def test_read_config_missing_file(tmp_path):
     with pytest.raises(OSError):
         read_config(tmp_path / "absent.json")
