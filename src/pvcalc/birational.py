@@ -11,14 +11,19 @@ lying on a curve with exponent 0 whose two non-unit neighbors carry
 opposite exponents a, -a with a not in {0, 1, -1}, the center away from
 both.  For that pattern the change is the explicit nonzero element
 (L-1)^2 / ((L^a - 1)(L^-a - 1)) + L.
+
+invariance_delta computes that change locally, as the paper states it:
+only the open stratum, the strata through the center, the new curve E
+and its points, and the alpha = 0 terms of the curves through the
+center change, so only their terms are summed.
 """
 
 from dataclasses import dataclass
 
 from .errors import CenterError, ContractionError, ValidationError
-from .motring import HodgePoly, lfactor, lpow
-from .pvint import e_invariant
-from .surface import Config, Curve, validate
+from .motring import HodgePoly, from_int, lfactor, lpow, ring_sum
+from .pvint import _term, _zero_curve_term
+from .surface import Config, Curve, stratum_class, validate
 
 _UV = HodgePoly({(1, 1): 1})
 
@@ -236,8 +241,52 @@ def invariance_delta(config, center):
 
     Zero except for exceptional centers, where it equals
     lfactor(a) * lfactor(-a) + L for the pattern exponents (a, -a).
+
+    Both configurations are validated, but neither invariant is summed:
+    the delta is one ring_sum of after-minus-before terms over the
+    strata the blow-up changes.  With T the curves through the center
+    and E the exceptional curve, these are
+    - the open stratum: its class gains uv - [P^1] = -1 plus the points
+      added minus the point removed;
+    - the stratum of the center itself: a curve of a curve center gains
+      a point, the pair of a point center loses one;
+    - E minus its |T| points, and each new pair (i, E) of one point;
+    - the alpha = 0 term of each curve of T and of E, since their
+      self-intersections and neighbors change.
+    As in invariant_sum, a stratum counts only when all its curves have
+    alpha != 0.  The ring arithmetic thus follows the number of curves
+    through the center, not the size of the configuration.
     """
-    return e_invariant(blow_up(config, center)) - e_invariant(config)
+    after = blow_up(config, center)
+    rep = validate(after)
+    if not rep.ok:
+        raise ValidationError("configuration fails validation:\n" + str(rep),
+                              rep)
+    d = config.d
+    touched = _check_center(config, center)
+    new_id = center.new_id or fresh_id(config)
+    ms = {i: int(after.curve(i).alpha * d) for i in touched + (new_id,)}
+
+    def terms(cfg, strata, curves):
+        out = []
+        for ids in strata:
+            m = tuple(ms[i] for i in ids)
+            if all(m):
+                h = stratum_class(cfg, ids)
+                out.append(_term(tuple(h.items()), m, d))
+        for i in curves:
+            c = cfg.curve(i)
+            if c.alpha == 0 and c.self_int != 0:
+                out.append(_zero_curve_term(cfg, c))
+        return out
+
+    at_center = [touched] if touched else []
+    old = terms(config, at_center, touched)
+    new = terms(after, at_center + [(new_id,)]
+                + [tuple(sorted((i, new_id))) for i in touched],
+                touched + (new_id,))
+    open_delta = from_int(len(touched) - (center.kind == "point") - 1, d)
+    return ring_sum([open_delta] + new + [-t for t in old], d)
 
 
 def exceptional_delta(a, d):

@@ -11,6 +11,7 @@ environment variable supplies a default in that case.
 import argparse
 import json
 import os
+import re
 import sys
 
 from .birational import (at_point, blow_down, blow_up, free,
@@ -73,11 +74,12 @@ def parse_center(spec):
         a, sep, b = ids.partition("/")
         if not sep or not a or not b:
             raise InputError(f"point center needs two ids: {spec!r}")
-        try:
-            k = int(idx) if idx else 0
-        except ValueError:
-            raise InputError(f"bad point index in {spec!r}") from None
-        return at_point(a, b, k)
+        if a == b:
+            raise InputError(f"point center needs two distinct ids: {spec!r}")
+        # int() also reads "+3", " 3" and "1_0"; the syntax #k does not
+        if idx and not re.fullmatch("[0-9]+", idx):
+            raise InputError(f"bad point index in {spec!r}")
+        return at_point(a, b, int(idx) if idx else 0)
     raise InputError(
         f"bad center {spec!r}; use point:A/B#k, curve:A or free")
 

@@ -18,7 +18,7 @@ from .motring import (HodgePoly, from_hodge, from_int, lfactor, lpow,
 from .surface import strata, validate
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def invariant_sum(config):
     """The raw stratum sum, with no semantic checks.
 
@@ -33,6 +33,10 @@ def invariant_sum(config):
     are those of the plain loop, so the stored result is too.  An alpha
     outside (1/d) Z raises ExponentError, an alpha = 0 neighbor of a
     counted alpha = 0 curve LogPoleError, as lfactor does.
+
+    The cache is small on purpose: it serves callers that sum an equal
+    Config twice in a row (residue_contribution, then pole_report),
+    while an unbounded one would keep every Config summed alive.
     """
     d = config.d
     m = {}
@@ -51,13 +55,18 @@ def invariant_sum(config):
         if None not in ms:
             terms.append(_term(tuple(h.items()), ms, d))
     for c in config.curves:
-        if c.alpha != 0 or c.self_int == 0:
-            continue
-        t = from_int(-c.self_int, d)
-        for j in config.neighbors[c.id]:
-            t = t * lfactor(config.curve(j).alpha, d)
-        terms.append(t)
+        if c.alpha == 0 and c.self_int != 0:
+            terms.append(_zero_curve_term(config, c))
     return ring_sum(terms, d)
+
+
+def _zero_curve_term(config, c):
+    """The term of a curve with alpha = 0: minus its self-intersection
+    times the lfactor of each neighbor, in id order."""
+    t = from_int(-c.self_int, config.d)
+    for j in config.neighbors[c.id]:
+        t = t * lfactor(config.curve(j).alpha, config.d)
+    return t
 
 
 @lru_cache(maxsize=None)

@@ -3,11 +3,16 @@
 e_euler is the direct Euler-characteristic formula, written stratum by
 stratum in Fraction arithmetic with no ring element; the package itself
 computes the Euler realization as euler_realize(e_invariant(config)).
+
+full_delta is the blow-up delta as the difference of two whole
+invariants; the package sums only the strata the blow-up changes.
 """
 
 from fractions import Fraction
 
+from pvcalc.birational import blow_up
 from pvcalc.errors import ValidationError
+from pvcalc.pvint import e_invariant
 from pvcalc.surface import stratum_class, validate
 
 
@@ -38,3 +43,9 @@ def e_euler(config):
             t /= config.curve(j).alpha
         total += t
     return total
+
+
+def full_delta(config, center):
+    """e_invariant(blow_up(config, center)) - e_invariant(config), with
+    both invariants summed over every stratum."""
+    return e_invariant(blow_up(config, center)) - e_invariant(config)

@@ -3,18 +3,25 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pvcalc.birational import (BlowupCenter, add_unit_curve, at_point,
                                blow_down, blow_up, exceptional_alphas,
                                exceptional_delta, free, fresh_id,
                                invariance_delta, inverse_center,
                                is_exceptional_center, on_curve)
-from pvcalc.errors import (CenterError, ContractionError, PvError,
-                           ValidationError)
-from pvcalc.motring import lfactor, lpow, render
+from pvcalc.errors import (CenterError, ContractionError, ExponentError,
+                           PvError, ValidationError)
+from pvcalc.models import (candidate_centers, case_c_resolved,
+                           hirzebruch_case_b, random_config)
+from pvcalc.motring import RingElem, lfactor, lpow, render
 from pvcalc.pvint import e_invariant
-from pvcalc.surface import (Config, Curve, euler_complement, plane, ruled,
+from pvcalc.surface import (Config, Curve, adjunction_defect,
+                            euler_complement, is_allowed, plane, ruled,
                             validate)
+
+from oracles import full_delta
 
 F = Fraction
 
@@ -32,6 +39,24 @@ def pattern_config(a, d=2, units=2):
 
 def conic():
     return Config(2, plane(), [Curve("C", 0, 4, F(-1, 2))], [])
+
+
+def double_point():
+    """A conic and a unit line meeting twice."""
+    return Config(2, plane(),
+                  [Curve("C", 0, 4, F(-1, 2)), Curve("T", 0, 1, 1)],
+                  [("C", "T", 0), ("C", "T", 1)])
+
+
+def opposite_crossing():
+    """C1 (alpha 1/2) meets F1 (alpha -1/2): blowing up their point
+    gives an exceptional curve with alpha 0."""
+    return hirzebruch_case_b(0, F(1, 2), [F(-1, 2), F(1, 2)], 2)
+
+
+def random_configs(max_seed=399):
+    return st.integers(0, max_seed).map(
+        lambda s: random_config(s, max_blowups=10))
 
 
 # ---- centers -------------------------------------------------------------
@@ -111,10 +136,7 @@ def test_blow_up_on_curve_and_free():
 
 
 def test_double_point_indices():
-    cfg = Config(2, plane(),
-                 [Curve("C", 0, 4, F(-1, 2)), Curve("T", 0, 1, 1)],
-                 [("C", "T", 0), ("C", "T", 1)])
-    up = blow_up(cfg, at_point("C", "T", 1, new_id="E"))
+    up = blow_up(double_point(), at_point("C", "T", 1, new_id="E"))
     assert up.intersection("C", "T") == 1
     assert up.points_on("E") == (("C", "E", 0), ("E", "T", 0))
 
@@ -231,3 +253,85 @@ def test_add_unit_curve_checks_adjunction():
         add_unit_curve(conic(), 0, 0, ["C", "C"])
     with pytest.raises(PvError):
         add_unit_curve(conic(), 0, 1, ["C", "missing"])
+
+
+# ---- the local delta against the full recompute -----------------------------
+
+
+def _outcome(fn, cfg, center):
+    """fn's value, or the type and message of the PvError it raised."""
+    try:
+        return fn(cfg, center)
+    except PvError as exc:
+        return type(exc), str(exc)
+
+
+def _bad_centers(cfg):
+    """Centers naming an unknown curve, a taken new_id or, most likely,
+    a missing point."""
+    ids = sorted(cfg.curve_map)
+    out = [on_curve("missing"), free(new_id=ids[0]),
+           on_curve(ids[0], new_id=ids[-1])]
+    if len(ids) > 1:
+        out.append(at_point(ids[0], "missing"))
+        out.append(at_point(ids[0], ids[1], len(cfg.points)))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_configs())
+@example(pattern_config(F(1, 2)))          # exceptional centers
+@example(pattern_config(1))                # curve centers on alpha = 0
+@example(double_point())                   # a pair going from 2 to 1 points
+@example(opposite_crossing())              # alpha_E = 0
+@example(case_c_resolved(F(1, 2), extra_fibres=1))   # alpha = 0 bisection
+@example(Config(2, plane(), [Curve("C", 0, 4, F(1, 2))], []))   # invalid
+def test_local_delta_matches_full_recompute(cfg):
+    for center in candidate_centers(cfg) + [free()] + _bad_centers(cfg):
+        want = _outcome(full_delta, cfg, center)
+        got = _outcome(invariance_delta, cfg, center)
+        if isinstance(want, RingElem):
+            assert isinstance(got, RingElem) and got == want, center
+        else:
+            assert got == want, center
+
+
+def test_local_delta_cases_occur():
+    """The examples above do reach the cases they are named for."""
+    up = blow_up(opposite_crossing(), at_point("C1", "F1", new_id="E"))
+    assert up.curve("E").alpha == 0
+    assert double_point().intersection("C", "T") == 2
+    assert pattern_config(1).curve("C1").alpha == 0
+    assert case_c_resolved(F(1, 2), extra_fibres=1).curve("C").alpha == 0
+
+
+def test_local_delta_skips_untouched_strata():
+    """A curve away from the center adds no term to the delta.  Here the
+    lfactor of G exceeds the packed-key limit, so the whole invariant
+    cannot be formed, while deltas at centers off G still can."""
+    cfg = Config(2, plane(), [Curve("G", 1, 0, 2 ** 33),
+                              Curve("C", 0, 4, F(-1, 2))], [])
+    assert validate(cfg).ok
+    with pytest.raises(ExponentError):
+        e_invariant(cfg)
+    assert invariance_delta(cfg, free()).is_zero()
+    assert invariance_delta(cfg, on_curve("C")).is_zero()
+    with pytest.raises(ExponentError):
+        invariance_delta(cfg, on_curve("G"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_configs())
+def test_blow_up_preserves_validity(cfg):
+    """blow_up's documented claim: adjunction defects and allowedness
+    of the old curves are kept, and E is consistent and allowed."""
+    defects = {c.id: adjunction_defect(cfg, c.id) for c in cfg.curves}
+    allowed = {c.id: is_allowed(cfg, c.id) for c in cfg.curves}
+    new_id = fresh_id(cfg)
+    for center in candidate_centers(cfg) + [free()]:
+        up = blow_up(cfg, center)
+        assert {i: adjunction_defect(up, i) for i in defects} == defects
+        assert {i: is_allowed(up, i) for i in allowed} == allowed
+        assert adjunction_defect(up, new_id) == 0
+        assert is_allowed(up, new_id)
+        assert validate(up).ok

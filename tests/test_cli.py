@@ -57,7 +57,8 @@ def test_parse_center():
     assert parse_center("point:A/B") == at_point("A", "B")
     assert parse_center("point:B/A#3") == at_point("A", "B", 3)
     for bad in ("free:x", "curve:", "point:A", "point:A/B#x",
-                "orbit:A", "point:/B"):
+                "orbit:A", "point:/B", "point:A/A", "point:A/B#-1",
+                "point:A/B#+3", "point:A/B# 3", "point:A/B#1_0"):
         with pytest.raises(InputError):
             parse_center(bad)
 
@@ -174,6 +175,11 @@ def test_blowup_exceptional(pattern_file, tmp_path, capsys):
 def test_blowup_bad_center(conic_file, capsys):
     assert main(["blowup", conic_file, "--center", "curve:missing"]) == 1
     assert main(["blowup", conic_file, "--center", "orbit:x"]) == 2
+    # malformed specs are input errors, exit 2
+    for spec in ("point:B/B", "point:A/B#-1", "point:A/B#+0"):
+        assert main(["blowup", conic_file, "--center", spec]) == 2
+    # a well-formed point that the configuration lacks is a domain failure
+    assert main(["blowup", conic_file, "--center", "point:A/B"]) == 1
 
 
 def test_blowdown_roundtrip(conic_file, tmp_path, capsys):
