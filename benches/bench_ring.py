@@ -1,10 +1,16 @@
-"""Benchmark: the stratum sum (ring_sum) on one long blow-up chain.
+"""Benchmark: the stratum sum (ring_sum) on one long blow-up chain, and
+ring_sum alone on the small sums of the sweep and residue workloads.
 
 Builds random_config(3) and blows it up 160 times at non-exceptional
 on-divisor centers drawn with random.Random(1).  After 40, 80 and 160
 blow-ups it times invariant_sum (best of 3, caches cleared before each
 call) and, in one separate untimed call, counts the kernel work:
 pcyclo_mul calls and the monomials that the kernel ops put out.
+
+Then it captures the inputs of every ring_sum call in one pass of the
+perfbench sweep and residue workloads (seed 1) and times ring_sum over
+each captured list (best of 20).  These are many sums of a few terms:
+the traffic that packing the numerators must not slow down.
 
 Run:  PYTHONPATH=src python3 benches/bench_ring.py [--out BENCH_ring.json]
 """
@@ -14,6 +20,7 @@ import json
 import os
 import platform
 import random
+import sys
 import time
 
 import pvcalc._kernel as kernel
@@ -26,6 +33,9 @@ from pvcalc.pvint import invariant_sum
 
 CHECKPOINTS = (40, 80, 160)
 COUNTED_OPS = ("pcyclo_mul", "pcyclo_div", "pmul", "padd")
+SMALL_SUM_WORKLOADS = ("sweep", "residue")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 
 def chain_checkpoints():
@@ -88,6 +98,48 @@ def kernel_counts(cfg):
     return counts
 
 
+def pass_sums(name):
+    """(terms, d) of every ring_sum call in one pass of a perfbench
+    workload's ops at seed 1."""
+    sys.path.insert(0, PERFBENCH)
+    import workloads
+
+    work = workloads.build(name, 1)
+    work.prepare()
+    real, sums = motring.ring_sum, []
+
+    def capture(terms, d=None):
+        terms = list(terms)
+        sums.append((terms, d))
+        return real(terms, d)
+
+    # birational, pvint and zeta import ring_sum by name: rebind it in
+    # every pvcalc module
+    modules = [m for n, m in sys.modules.items()
+               if m is not None and n.split(".")[0] == "pvcalc"]
+    bound = [(m, k) for m in modules for k, v in vars(m).items() if v is real]
+    for m, k in bound:
+        setattr(m, k, capture)
+    try:
+        for op, _ in work.pass_ops():
+            op()
+    finally:
+        for m, k in bound:
+            setattr(m, k, real)
+    return sums
+
+
+def time_sums(sums, repeat=20):
+    best = None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for terms, d in sums:
+            motring.ring_sum(terms, d)
+        elapsed = time.perf_counter() - t0
+        best = elapsed if best is None else min(best, elapsed)
+    return best
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="BENCH_ring.json")
@@ -104,6 +156,16 @@ def main():
               f"{seconds:9.4f} s  pcyclo_mul {row['pcyclo_mul_calls']:>7}  "
               f"monomials out {row['terms_out']:>9}  zero {row['is_zero']}")
 
+    small = []
+    for name in SMALL_SUM_WORKLOADS:
+        sums = pass_sums(name)
+        row = {"workload": name, "sums": len(sums),
+               "terms": sum(len(terms) for terms, _ in sums),
+               "ring_sum_s": time_sums(sums)}
+        small.append(row)
+        print(f"{name:>8} pass  {row['sums']:>5} sums  {row['terms']:>6} "
+              f"terms  ring_sum {row['ring_sum_s'] * 1e3:8.2f} ms")
+
     report = {
         "bench": "ring_sum via invariant_sum on a blow-up chain",
         "chain": "random_config(3), non-exceptional on-divisor blow-ups "
@@ -113,6 +175,10 @@ def main():
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "rows": rows,
+        "small_sums": "ring_sum alone over the captured sums of one pass "
+                      "of perfbench's sweep and residue workloads, seed 1, "
+                      "best of 20",
+        "small_rows": small,
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)

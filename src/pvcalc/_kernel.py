@@ -122,3 +122,77 @@ def pcyclo_div(a, k):
                 out[q] = acc
         runs[cls] = (acc + a[key], key)
     return out
+
+
+# Kronecker-packed numerators (von zur Gathen and Gerhard, *Modern
+# Computer Algebra*, section 8.4).  A numerator becomes one int: its
+# monomial u^t w^c (v^-t w^c for t < 0) is digit e = (t - tmin)*width + c
+# in base 2^bits, bits = 8*nbytes, so each t-component is a block of
+# `width` digits, the component evaluated at w = 2^bits.  Evaluation is a
+# ring map, so multiplying by w^s is x << bits*s, by (w^k - 1) it is
+# (x << bits*k) - x, and a sum adds the ints, whatever the signs: each is
+# one big-int operation, however many terms the numerator has.  Digits
+# never carry into the next block while every w-exponent stays below
+# width.  The coefficients come back out exactly when every one has
+# |c| < 2^(bits - 1): they are then the balanced base-2^bits digits of
+# the int, which kunpack reads with to_bytes after adding 2^(bits - 1)
+# to every digit.
+
+
+def kpack(a, nbytes, width, tmin):
+    """a as one int; every key has t >= tmin and c < width, and every
+    coefficient |v| < 2^(bits - 1).
+
+    Adding the shifted monomials one by one copies the growing int once
+    per monomial, which is quadratic for a dense numerator.  Beyond four
+    monomials, each coefficient instead goes into its own digit of a
+    buffer of zero digits (2^(bits - 1) each, as kunpack reads them),
+    read as one int less the zero digits: four passes over the int
+    (the zero digits, their copy and two from_bytes), linear in its size.
+    Up to four monomials, adding them copies the int no more often.
+    """
+    bits = 8 * nbytes
+    if len(a) <= 4:
+        x = 0
+        for key, v in a.items():
+            x += v << bits * (((key >> KEY_SHIFT) - tmin) * width
+                              + (key & KEY_MASK))
+        return x
+    # digits order as keys do, so the largest key has the top digit
+    top = max(a)
+    digits = ((top >> KEY_SHIFT) - tmin) * width + (top & KEY_MASK) + 1
+    half = 1 << (bits - 1)
+    zeros = half.to_bytes(nbytes, "little") * digits
+    buf = bytearray(zeros)
+    for key, v in a.items():
+        at = nbytes * (((key >> KEY_SHIFT) - tmin) * width + (key & KEY_MASK))
+        buf[at:at + nbytes] = (v + half).to_bytes(nbytes, "little")
+    return int.from_bytes(buf, "little") - int.from_bytes(zeros, "little")
+
+
+def klift(x, s, ks, nbytes):
+    """Packed x times w^s * prod over ks of (w^k - 1)."""
+    bits = 8 * nbytes
+    x <<= bits * s
+    for k in ks:
+        x = (x << bits * k) - x
+    return x
+
+
+def kunpack(x, nbytes, width, tmin):
+    """The dict of packed x, keys ascending."""
+    out = {}
+    if not x:
+        return out
+    half = 1 << (8 * nbytes - 1)
+    zero = half.to_bytes(nbytes, "little")     # the digit of c = 0
+    # |x| > 2^(bits*e_max - 1), so its length bounds the top digit
+    digits = x.bit_length() // (8 * nbytes) + 1
+    buf = (x + int.from_bytes(zero * digits, "little")).to_bytes(
+        nbytes * digits, "little")
+    for e in range(digits):
+        digit = buf[e * nbytes:(e + 1) * nbytes]
+        if digit != zero:
+            t, c = divmod(e, width)
+            out[mkkey(t + tmin, c)] = int.from_bytes(digit, "little") - half
+    return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import CenterError, ContractionError, ValidationError
 from .motring import HodgePoly, from_int, lfactor, lpow, ring_sum
-from .pvint import _term, _zero_curve_term
+from .pvint import _term, _zero_curve_term, require_valid
 from .surface import Config, Curve, stratum_class, validate
 
 _UV = HodgePoly({(1, 1): 1})
@@ -258,10 +258,13 @@ def invariance_delta(config, center):
     through the center, not the size of the configuration.
     """
     after = blow_up(config, center)
-    rep = validate(after)
-    if not rep.ok:
-        raise ValidationError("configuration fails validation:\n" + str(rep),
-                              rep)
+    require_valid(after)
+    return _local_delta(config, after, center)
+
+
+def _local_delta(config, after, center):
+    """invariance_delta from config, its blow-up after at center, both
+    validated by the caller, and the center, checked by blow_up."""
     d = config.d
     touched = _check_center(config, center)
     new_id = center.new_id or fresh_id(config)

@@ -14,13 +14,13 @@ import os
 import re
 import sys
 
-from .birational import (at_point, blow_down, blow_up, free,
+from .birational import (_local_delta, at_point, blow_down, blow_up, free,
                          inverse_center, is_exceptional_center, on_curve)
 from .errors import InputError, PvError
 from .models import (case_c_resolved, conic_pipeline_demo, hirzebruch_case_a,
                      hirzebruch_case_b, random_config)
 from .motring import euler_realize, legend, render, render_hodge
-from .pvint import e_invariant, e_padic, pv_integral
+from .pvint import e_invariant, e_padic, pv_integral, require_valid
 from .surface import dump_config, load_config, save_config, validate
 from .zeta import (alphas_from_numerical, load_datum, pole_report,
                    residue_contribution, save_datum, triangle_datum)
@@ -128,7 +128,9 @@ def cmd_blowup(args):
     center = parse_center(args.center)
     exceptional = is_exceptional_center(cfg, center)
     result = blow_up(cfg, center)
-    delta = e_invariant(result) - e_invariant(cfg)
+    # validated as e_invariant(result) would; blow_up validated cfg
+    require_valid(result)
+    delta = _local_delta(cfg, result, center)
     print(f"delta = {render(delta)}  [{legend(cfg.d)}]")
     if exceptional:
         print("warning: exceptional situation "
@@ -141,7 +143,12 @@ def cmd_blowdown(args):
     cfg = _read_config(args.path)
     undo = inverse_center(cfg, args.id)
     result = blow_down(cfg, args.id)
-    delta = e_invariant(result) - e_invariant(cfg)
+    # validate as e_invariant(result) - e_invariant(cfg) would, result
+    # first; blowing result up at undo gives cfg back, so the delta is
+    # that of the blow-up, negated
+    require_valid(result)
+    require_valid(cfg)
+    delta = -_local_delta(result, cfg, undo)
     print(f"delta = {render(delta)}  [{legend(cfg.d)}]")
     if is_exceptional_center(result, undo):
         print("warning: exceptional situation "

@@ -23,7 +23,12 @@ children only to their own lcm.  Inner nodes are deliberately left
 unreduced: the normal form is not canonical, so reducing part sums
 could change the stored result, while the unreduced tree reaches
 exactly the numerator of lifting every term to the full lcm and then
-normalizes once.
+normalizes once.  The tree lifts Kronecker-packed numerators: each is
+one int, the numerator evaluated at w = 2^bits, with bits taken from an
+exact bound on every coefficient of the sum, so a lift by (w^k - 1) is
+one shift and one subtraction however many terms it has.  A sum whose
+packed root would hold more digits than its sparse root could hold
+monomials keeps kernel dicts (see ring_sum).
 
 A w-exponent must fit the c field of the kernel's packed keys, or it
 would carry into the u/v field.  Constructors and sums check the
@@ -37,8 +42,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
+from operator import add
 
 from . import _kernel as K
 from .errors import (
@@ -291,6 +297,15 @@ def _normalize(d, num, wpow, cyclo):
     return num, wpow, tuple(cy)
 
 
+def _store(x, d, num, wpow, cyclo):
+    """Set the fields of a RingElem, which refuses plain assignment."""
+    object.__setattr__(x, "d", d)
+    object.__setattr__(x, "num", num)
+    object.__setattr__(x, "wpow", wpow)
+    object.__setattr__(x, "cyclo", cyclo)
+    return x
+
+
 class RingElem:
     """One element of the level-d realization ring.
 
@@ -307,11 +322,7 @@ class RingElem:
             raise ContextError(f"invalid context d = {d}")
         if wpow < 0 or any(k < 1 for k in cyclo):
             raise ValueError("invalid denominator data")
-        num, wpow, cyclo = _normalize(d, dict(num), wpow, tuple(cyclo))
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "wpow", wpow)
-        object.__setattr__(self, "cyclo", cyclo)
+        _store(self, d, *_normalize(d, dict(num), wpow, tuple(cyclo)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElem is immutable")
@@ -344,7 +355,10 @@ class RingElem:
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElem(self.d, K.pneg(self.num), self.wpow, self.cyclo)
+        # a sign change keeps the stored form reduced: it changes no
+        # divisibility, no w-power and no weight, so skip _normalize
+        return _store(object.__new__(RingElem), self.d, K.pneg(self.num),
+                      self.wpow, self.cyclo)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -477,14 +491,81 @@ def _lcm(ca, cb):
     return out
 
 
-def _lift(num, wpow, counts, wp, union):
-    """num / (w^wpow * counts) rewritten over the multiple w^wp * union."""
-    if wp > wpow:
-        num = K.pshift(num, wp - wpow)
-    for k, mult in union.items():
-        for _ in range(mult - counts.get(k, 0)):
-            num = K.pcyclo_mul(num, k)
+def _missing(counts, union):
+    """The factors k, with multiplicity, that union has beyond counts."""
+    if counts == union:
+        return ()
+    return [k for k, mult in union.items()
+            for _ in range(mult - counts.get(k, 0))]
+
+
+def _dict_lift(num, s, ks):
+    """num times w^s * prod over ks of (w^k - 1), as a kernel dict."""
+    if s:
+        num = K.pshift(num, s)
+    for k in ks:
+        num = K.pcyclo_mul(num, k)
     return num
+
+
+def _tree(nodes, lift, plus):
+    """The root numerator of (wpow, counts, numerator) nodes combined
+    pairwise in a balanced tree; each node lifts its two children to
+    their own lcm with lift(numerator, w-shift, factors) and adds them
+    with plus."""
+    while len(nodes) > 1:
+        paired = []
+        for (wa, ca, na), (wb, cb, nb) in zip(nodes[::2], nodes[1::2]):
+            w, cu = max(wa, wb), _lcm(ca, cb)
+            paired.append((w, cu, plus(lift(na, w - wa, _missing(ca, cu)),
+                                       lift(nb, w - wb, _missing(cb, cu)))))
+        if len(nodes) % 2:
+            paired.append(nodes[-1])
+        nodes = paired
+    return nodes[0][2]
+
+
+def _lift_and_add(groups):
+    """(w-power, factor counts, numerator) of the root of a sum of two
+    or more groups, on one packed int each or on kernel dicts."""
+    nodes = [(wpow, _counts(cyclo), num)
+             for (wpow, cyclo), num in sorted(groups.items())]
+    wp, union = 0, {}
+    for wpow, counts, _ in nodes:
+        wp = max(wp, wpow)
+        for k, mult in counts.items():
+            if mult > union.get(k, 0):
+                union[k] = mult
+    top = wp + sum(k * mult for k, mult in union.items())
+    nfactors = sum(union.values())
+    width = sparse = 0
+    ts = []
+    for (wpow, cyclo), num in groups.items():
+        # a numerator lifted to the root gains the degree its own
+        # denominator lacks; check that it fits a packed key before
+        # anything is lifted or packed
+        deg = top - wpow - sum(cyclo)
+        if num:
+            hi = max(num)
+            tlo, thi = min(num) >> K.KEY_SHIFT, hi >> K.KEY_SHIFT
+            # keys order by u/v exponent first, so with one component
+            # the largest key has the largest w-exponent
+            deg += hi & K.KEY_MASK if tlo == thi else _wdeg(num)
+            width = max(width, deg + 1)
+            ts += tlo, thi
+            sparse += min(len(num) << nfactors - len(cyclo),
+                          (deg + 1) * (thi - tlo + 1))
+        _check_wdeg(deg)
+    if not ts or width * (max(ts) - min(ts) + 1) > sparse:
+        return wp, union, _tree(nodes, _dict_lift, K.padd)
+    tmin = min(ts)
+    bound = sum(sum(map(abs, num.values())) << nfactors - len(cyclo)
+                for (_, cyclo), num in groups.items())
+    nbytes = (bound.bit_length() + 8) // 8
+    packed = [(wpow, counts, K.kpack(num, nbytes, width, tmin))
+              for wpow, counts, num in nodes]
+    x = _tree(packed, partial(K.klift, nbytes=nbytes), add)
+    return wp, union, K.kunpack(x, nbytes, width, tmin)
 
 
 def ring_sum(terms, d=None):
@@ -501,6 +582,26 @@ def ring_sum(terms, d=None):
     numerator and denominator are therefore exactly those of lifting
     every term straight to the full lcm, and the stored result does not
     depend on the order of the terms.
+
+    The tree runs on Kronecker-packed numerators (see the kernel): each
+    numerator is one int, with a block of `width` base-2^bits digits per
+    u/v component, width being one more than the largest w-exponent any
+    numerator reaches at the root.  A lift is then one shift, and one
+    shift and one subtraction per (w^k - 1), of that int, and adding
+    two numerators adds two ints.  With R factors in the root lcm and
+    r_g in group g's denominator, every coefficient on the way to the
+    root is at most S = sum_g L1(num_g) * 2^(R - r_g), since a lift by
+    one (w^k - 1) at most doubles the L1 norm; the digits get the
+    fewest whole bytes with S < 2^(bits - 1), so the root's digits are
+    its coefficients.  The packed root has width digits for each
+    component from the lowest u/v exponent to the highest.  Group g,
+    lifted to the root, has at most len(num_g) * 2^(R - r_g) monomials,
+    and at most one per w-exponent up to its own top degree in each of
+    its components; the sum of these bounds bounds the sparse root.  A
+    sum whose packed root would be larger runs the same tree on kernel
+    dicts instead (a huge (w^k - 1) next to small numerators, say).  A
+    sum of one group lifts nothing.  All give the same root, and every
+    guard runs before anything is lifted.
     """
     terms = list(terms)
     if not terms:
@@ -519,24 +620,11 @@ def ring_sum(terms, d=None):
     for t in terms:
         key = (t.wpow, t.cyclo)
         groups[key] = K.padd(groups[key], t.num) if key in groups else t.num
-    nodes = [(wpow, _counts(cyclo), num)
-             for (wpow, cyclo), num in sorted(groups.items())]
-    while len(nodes) > 1:
-        paired = []
-        for (wa, ca, na), (wb, cb, nb) in zip(nodes[::2], nodes[1::2]):
-            w, cu = max(wa, wb), _lcm(ca, cb)
-            paired.append((w, cu, K.padd(_lift(na, wa, ca, w, cu),
-                                         _lift(nb, wb, cb, w, cu))))
-        if len(nodes) % 2:
-            paired.append(nodes[-1])
-        nodes = paired
-    wp, union, acc = nodes[0]
-    # a numerator lifted to the root gained the degree its own
-    # denominator lacks; a key that carried on the way only holds a
-    # wrong monomial, which is dropped when this check raises
-    top = wp + sum(k * mult for k, mult in union.items())
-    for (wpow, cyclo), num in groups.items():
-        _check_wdeg(_wdeg(num) + top - wpow - sum(cyclo))
+    if len(groups) == 1:
+        # nothing to lift: the numerators already share one denominator
+        (wpow, cyclo), num = groups.popitem()
+        return RingElem(d0, num, wpow, cyclo)
+    wp, union, acc = _lift_and_add(groups)
     cy = []
     for k in sorted(union):
         cy.extend([k] * union[k])

@@ -81,11 +81,16 @@ def _term(items, ms, d):
     return t
 
 
-def e_invariant(config):
-    """The motivic invariant of a validated configuration."""
+def require_valid(config):
+    """Raise ValidationError unless config passes validate."""
     rep = validate(config)
     if not rep.ok:
         raise ValidationError("configuration fails validation:\n" + str(rep), rep)
+
+
+def e_invariant(config):
+    """The motivic invariant of a validated configuration."""
+    require_valid(config)
     return invariant_sum(config)
 
 

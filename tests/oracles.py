@@ -6,12 +6,17 @@ computes the Euler realization as euler_realize(e_invariant(config)).
 
 full_delta is the blow-up delta as the difference of two whole
 invariants; the package sums only the strata the blow-up changes.
+
+chain_config is a shared input, not an oracle: the long blow-up chain
+whose invariant sums are large.
 """
 
+import random
 from fractions import Fraction
 
-from pvcalc.birational import blow_up
+from pvcalc.birational import blow_up, is_exceptional_center
 from pvcalc.errors import ValidationError
+from pvcalc.models import candidate_centers, random_config
 from pvcalc.pvint import e_invariant
 from pvcalc.surface import stratum_class, validate
 
@@ -49,3 +54,15 @@ def full_delta(config, center):
     """e_invariant(blow_up(config, center)) - e_invariant(config), with
     both invariants summed over every stratum."""
     return e_invariant(blow_up(config, center)) - e_invariant(config)
+
+
+def chain_config(blowups):
+    """random_config(3) after `blowups` non-exceptional on-divisor
+    blow-ups drawn with random.Random(1); its invariant is zero."""
+    rng = random.Random(1)
+    cfg = random_config(3)
+    for _ in range(blowups):
+        cfg = blow_up(cfg, rng.choice(
+            [c for c in candidate_centers(cfg)
+             if not is_exceptional_center(cfg, c)]))
+    return cfg

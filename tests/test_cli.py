@@ -5,13 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from pvcalc.birational import at_point, free, on_curve
+from pvcalc.birational import (at_point, blow_down, blow_up, free,
+                               inverse_center, on_curve)
 from pvcalc.cli import main, parse_center
 from pvcalc.errors import InputError
-from pvcalc.models import plane_conic
+from pvcalc.models import candidate_centers, plane_conic
+from pvcalc.motring import legend, render
+from pvcalc.pvint import e_invariant
 from pvcalc.surface import Config, Curve, plane, ruled, save_config
 from pvcalc.zeta import dump_datum, save_datum, triangle_datum, \
     SurfaceResolutionDatum, ResolutionComponent
+
+from oracles import chain_config, full_delta
 
 F = Fraction
 
@@ -23,17 +28,21 @@ def conic_file(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def pattern_file(tmp_path):
+def pattern_config():
+    """Two alpha 0 sections, fibres with exponents 1/2, -1/2, 1, 1."""
     alphas = [F(1, 2), F(-1, 2), 1, 1]
     curves = [Curve("C1", 0, 0, 0), Curve("C2", 0, 0, 0)]
     curves += [Curve(f"F{k}", 0, 0, a) for k, a in enumerate(alphas, 1)]
     pts = []
     for k in range(1, 5):
         pts += [(f"F{k}", "C1"), (f"F{k}", "C2")]
-    cfg = Config(2, ruled(0), curves, pts)
+    return Config(2, ruled(0), curves, pts)
+
+
+@pytest.fixture
+def pattern_file(tmp_path):
     path = tmp_path / "pattern.json"
-    save_config(cfg, path)
+    save_config(pattern_config(), path)
     return str(path)
 
 
@@ -209,6 +218,63 @@ def test_blowdown_exceptional_warning(pattern_file, tmp_path, capsys):
 def test_blowdown_bad_curve(conic_file, capsys):
     assert main(["blowdown", conic_file, "--id", "B"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_blowup_and_blowdown_validate_their_result(tmp_path, capsys,
+                                                   monkeypatch):
+    # the delta is local, but both commands still refuse a result that
+    # fails validation, as summing its invariant did
+    up = blow_up(plane_conic(), on_curve("B"))
+    bad = Config(up.d, up.ambient_hodge,
+                 up.curves + (Curve("X", 0, 5, 1),), up.points)
+    path = tmp_path / "bad_up.json"
+    save_config(bad, path)
+    assert main(["blowdown", str(path), "--id", "E1"]) == 1
+    assert "fails validation" in capsys.readouterr().err
+    conic = tmp_path / "conic.json"
+    save_config(plane_conic(), conic)
+    monkeypatch.setattr("pvcalc.cli.blow_up", lambda cfg, center: bad)
+    assert main(["blowup", str(conic), "--center", "curve:B"]) == 1
+    assert "fails validation" in capsys.readouterr().err
+
+
+def _center_spec(center):
+    if center.kind == "point":
+        return f"point:{center.a}/{center.b}#{center.index}"
+    return f"curve:{center.a}" if center.kind == "curve" else "free"
+
+
+@pytest.mark.parametrize("name, cfg, centers", [
+    ("conic", plane_conic(), None),
+    ("pattern", pattern_config(), [on_curve("C1"), on_curve("C2")]),
+    ("chain40", chain_config(40), "sample"),
+])
+def test_blowup_and_blowdown_print_the_full_delta(name, cfg, centers,
+                                                  tmp_path, capsys):
+    # the commands sum only the strata a blow-up touches; the text they
+    # print is that of the difference of the two whole invariants
+    if centers is None:
+        centers = candidate_centers(cfg) + [free()]
+    elif centers == "sample":
+        centers = candidate_centers(cfg)[::9] + [free()]
+    path = str(tmp_path / f"{name}.json")
+    save_config(cfg, path)
+    tag = f"  [{legend(cfg.d)}]"
+    for center in centers:
+        up_path = str(tmp_path / "up.json")
+        assert main(["blowup", path, "--center", _center_spec(center),
+                     "--out", up_path]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line == f"delta = {render(full_delta(cfg, center))}{tag}"
+        up = blow_up(cfg, center)
+        new_id = (set(up.curve_map) - set(cfg.curve_map)).pop()
+        assert main(["blowdown", up_path, "--id", new_id]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        undo = inverse_center(up, new_id)
+        want = -full_delta(blow_down(up, new_id), undo)
+        assert line == f"delta = {render(want)}{tag}"
+        old_text = render(e_invariant(cfg) - e_invariant(up))
+        assert line == f"delta = {old_text}{tag}"
 
 
 # ---- residue ----------------------------------------------------------------

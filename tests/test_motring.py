@@ -1,7 +1,9 @@
 """Realization ring: normal forms, oracles, rendering, specializations."""
 
+import time
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,6 +17,9 @@ from pvcalc.motring import (HodgePoly, RingElem, euler_realize, from_hodge,
                             numeric_eval, one, parse_ring_elem, render,
                             render_hodge, ring_sum, zero)
 from pvcalc.motring import _int_root
+from pvcalc.pvint import invariant_sum
+
+from oracles import chain_config
 
 F = Fraction
 
@@ -139,6 +144,19 @@ def test_sum_over_common_denominator():
     x = lfactor(F(1, 2), d) + lfactor(F(-1, 2), d)
     # (w+1) + (-w^2-w) = 1 - w^2
     assert x == one(d) - lpow(1, d)
+
+
+def test_negation_keeps_the_stored_form(monkeypatch):
+    # a sign change divides by no factor, so -x is not normalized again
+    xs = [lfactor(F(1, 2), 2) * lfactor(F(-3, 2), 2) * lpow(F(-5, 2), 2),
+          from_hodge(HodgePoly({(2, 0): 3, (0, 1): -1}), 2) * lfactor(2, 2),
+          zero(2)]
+    divisions = []
+    monkeypatch.setattr(K, "pcyclo_div",
+                        lambda *args: divisions.append(args))
+    for x in xs:
+        assert stored(-x) == (K.pneg(x.num), x.wpow, x.cyclo)
+    assert divisions == []
 
 
 def test_zero_representation():
@@ -489,3 +507,131 @@ def test_ring_sum_matches_flat_lcm_loop(case):
     again = ring_sum([build_term(d, spec) for spec in shuffled], d)
     assert stored(again) == stored(got)
     assert render(again) == render(got)
+
+
+def raw_term(d, spec):
+    """num / (w^wpow * prod (w^k - 1)) from {(t, c): coeff}, t < 0
+    being a v-power."""
+    num, wpow, cyclo = spec
+    return RingElem(d, {K.mkkey(t, c): v for (t, c), v in num.items()},
+                    wpow, cyclo)
+
+
+SMALL_K = (1, 2, 3, 4, 6)
+
+
+@st.composite
+def wide_sum_specs(draw):
+    """(d, raw term specs, path): coefficients up to 2^100 of both
+    signs, u- and v-components, and one factor repeated 12 to 14 times
+    in some terms.  Path "dict" marks a draw where one more term has a
+    single huge (w^k - 1) and the others none, so that the packed root
+    would be far larger than the sparse one; None leaves the path to
+    the sum.  (A small factor next to the huge one would make the root
+    divisible by w - 1, with a quotient of k terms; the other terms'
+    coefficients are then positive, so that no group sums to zero and
+    escapes the huge lift.)"""
+    d = draw(st.integers(1, 6))
+    sparse = draw(st.booleans())
+    coeff = st.integers(1 if sparse else -2 ** 100, 2 ** 100).filter(bool)
+    num = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(0, 8)),
+                          coeff, min_size=1, max_size=5)
+    factors = st.just([])
+    if not sparse:
+        factors = st.one_of(
+            st.lists(st.sampled_from(SMALL_K), max_size=6),
+            st.tuples(st.sampled_from((1, 2, 3)), st.integers(12, 14))
+            .map(lambda kn: [kn[0]] * kn[1]))
+    specs = draw(st.lists(st.tuples(num, st.integers(0, 3), factors),
+                          min_size=2, max_size=8))
+    if sparse:
+        huge = draw(st.sampled_from((2 ** 18, 2 ** 20, 2 ** 22)))
+        specs.append((draw(num), draw(st.integers(0, 3)), [huge]))
+    return d, specs, "dict" if sparse else None
+
+
+BIG = 2 ** 100
+# each term is lifted by the other's 13 factors, so the root's u^0- and
+# v^2-components hold coefficients up to C(13, 6) * 2^100 > 2^110
+REPEATED_FACTOR_CASE = (1, [({(0, 0): BIG, (-2, 0): BIG}, 0, [1] * 13),
+                            ({(0, 0): -BIG, (-2, 3): -BIG}, 0, [2] * 13)],
+                        "packed")
+# M + (M w + M) / w: the root M w + (M w + M) has a coefficient 2M, two
+# thirds of the bound 3M < 2^104, so a digit of 104 bits, with no room
+# for the sign, would misread it
+TIGHT = 2 ** 102 + 1
+TIGHT_BOUND_CASE = (1, [({(0, 0): TIGHT}, 0, []),
+                        ({(0, 0): TIGHT, (0, 1): TIGHT}, 1, [])], "packed")
+# lfactor(2^20, 1) + lfactor(3, 1)^21: the first term is lifted by 21
+# factors, but to degree 64 only, so its sparse lift has at most 65
+# monomials, while a packed root would have 2^20 digits
+SPARSE_LIFT_CASE = (1, [({(0, 1): 1, (0, 0): -1}, 0, [2 ** 20]),
+                        ({(0, j): comb(21, j) * (-1) ** (21 - j)
+                          for j in range(22)}, 0, [3] * 21)], "dict")
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_sum_specs())
+@example(REPEATED_FACTOR_CASE)
+@example(TIGHT_BOUND_CASE)
+@example(SPARSE_LIFT_CASE)
+# the group without factors sums to zero, so nothing is lifted by the
+# huge factor and the packed root is one digit
+@example((1, [({(0, 0): 2}, 0, []), ({(0, 0): -2}, 0, []),
+              ({(0, 0): 1}, 0, [2 ** 18])], None))
+def test_ring_sum_matches_flat_lcm_loop_on_both_paths(case):
+    d, specs, path = case
+    terms = [raw_term(d, spec) for spec in specs]
+    packs = []
+    pack = K.kpack
+    K.kpack = lambda *args: packs.append(args) or pack(*args)
+    try:
+        got = ring_sum(terms, d)
+    finally:
+        K.kpack = pack
+    assert stored(got) == stored(flat_ring_sum(terms))
+    if path is not None:
+        assert bool(packs) == (path == "packed")
+
+
+def test_chain_invariant_sum_runs_packed(monkeypatch):
+    # a packed path that has silently gone dead would lift the chain's
+    # sums with pcyclo_mul again
+    cfg = chain_config(40)
+    calls = Counter()
+
+    def counting(op, real):
+        def spy(*args):
+            calls[op] += 1
+            return real(*args)
+        return spy
+
+    for op in ("pcyclo_mul", "kpack"):
+        monkeypatch.setattr(K, op, counting(op, getattr(K, op)))
+    invariant_sum.cache_clear()
+    assert invariant_sum(cfg).is_zero()
+    assert calls["pcyclo_mul"] == 0 and calls["kpack"] > 0
+
+
+def test_packing_a_dense_numerator_is_linear():
+    # lfactor(2) + lfactor(2^17) stores 2^17 terms over (w^(2^17) - 1);
+    # adding 1 lifts 1 by that factor and packs the 2^17 terms into one
+    # int of 2^17 digits.  Adding the shifted monomials one by one
+    # copies the growing int per monomial: on a 2-vCPU VM that took
+    # 4.7 s at 2^16 terms and 14.6 s at 2^17, against a quarter of a
+    # second when packed through one buffer.
+    n = 2 ** 17
+    x = lfactor(2, 1) + lfactor(n, 1)
+    assert len(x.num) == n and x.cyclo == (n,)
+    packs = []
+    pack = K.kpack
+    K.kpack = lambda *args: packs.append(args) or pack(*args)
+    try:
+        start = time.perf_counter()
+        got = x + one(1)
+        elapsed = time.perf_counter() - start
+    finally:
+        K.kpack = pack
+    assert packs
+    assert stored(got) == stored(flat_ring_sum([x, one(1)]))
+    assert elapsed < 4
