@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import CenterError, ContractionError, ValidationError
 from .motring import HodgePoly, from_int, lfactor, lpow, ring_sum
-from .pvint import _term, _zero_curve_term, require_valid
+from .pvint import require_valid, stratum_terms
 from .surface import Config, Curve, stratum_class, validate
 
 _UV = HodgePoly({(1, 1): 1})
@@ -253,9 +253,10 @@ def invariance_delta(config, center):
     - E minus its |T| points, and each new pair (i, E) of one point;
     - the alpha = 0 term of each curve of T and of E, since their
       self-intersections and neighbors change.
-    As in invariant_sum, a stratum counts only when all its curves have
-    alpha != 0.  The ring arithmetic thus follows the number of curves
-    through the center, not the size of the configuration.
+    pvint.stratum_terms builds these terms, as it builds invariant_sum's,
+    so a stratum counts only when all its curves have alpha != 0.  The
+    ring arithmetic thus follows the number of curves through the
+    center, not the size of the configuration.
     """
     after = blow_up(config, center)
     require_valid(after)
@@ -268,20 +269,11 @@ def _local_delta(config, after, center):
     d = config.d
     touched = _check_center(config, center)
     new_id = center.new_id or fresh_id(config)
-    ms = {i: int(after.curve(i).alpha * d) for i in touched + (new_id,)}
 
     def terms(cfg, strata, curves):
-        out = []
-        for ids in strata:
-            m = tuple(ms[i] for i in ids)
-            if all(m):
-                h = stratum_class(cfg, ids)
-                out.append(_term(tuple(h.items()), m, d))
-        for i in curves:
-            c = cfg.curve(i)
-            if c.alpha == 0 and c.self_int != 0:
-                out.append(_zero_curve_term(cfg, c))
-        return out
+        return stratum_terms(cfg, [(ids, stratum_class(cfg, ids))
+                                   for ids in strata],
+                             [cfg.curve(i) for i in curves])
 
     at_center = [touched] if touched else []
     old = terms(config, at_center, touched)

@@ -21,8 +21,8 @@ from .models import (case_c_resolved, conic_pipeline_demo, hirzebruch_case_a,
                      hirzebruch_case_b, random_config)
 from .motring import euler_realize, legend, render, render_hodge
 from .pvint import e_invariant, e_padic, pv_integral, require_valid
-from .surface import dump_config, load_config, save_config, validate
-from .zeta import (alphas_from_numerical, load_datum, pole_report,
+from .surface import dump_config, read_config, save_config, validate
+from .zeta import (alphas_from_numerical, pole_report, read_datum,
                    residue_contribution, save_datum, triangle_datum)
 
 
@@ -36,18 +36,8 @@ def _default_d():
         raise InputError(f"PVCALC_D must be an integer, got {raw!r}") from None
 
 
-def _read_json(path):
-    """The JSON document in a file.  Text that is not UTF-8, not JSON or
-    nested past the parser's recursion limit is malformed input."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (ValueError, RecursionError) as exc:
-        raise InputError(f"malformed JSON: {exc}") from None
-
-
 def _read_config(path):
-    return load_config(_read_json(path), default_d=_default_d())
+    return read_config(path, default_d=_default_d())
 
 
 def _emit_config(cfg, out):
@@ -158,7 +148,7 @@ def cmd_blowdown(args):
 
 
 def cmd_residue(args):
-    datum = load_datum(_read_json(args.path))
+    datum = read_datum(args.path)
     alphas = alphas_from_numerical(datum)
     for cid in sorted(alphas):
         print(f"alpha {cid} = {alphas[cid]}")
@@ -287,10 +277,7 @@ def main(argv=None):
     except PvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,4 +70,5 @@ class ParseError(InputError):
 
 
 class SchemaError(InputError):
-    """JSON document does not match the expected schema."""
+    """JSON document that is malformed or does not match the expected
+    schema."""

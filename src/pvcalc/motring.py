@@ -233,10 +233,11 @@ def _uv_monomial(eu, ev, coeff):
 
 def _as_exponent(a, d):
     """a*d as an int, or raise."""
-    m = Fraction(a) * d
-    if m.denominator != 1:
+    f = Fraction(a)
+    m, r = divmod(f.numerator * d, f.denominator)
+    if r:
         raise ExponentError(f"exponent {a} is not a multiple of 1/{d}")
-    return int(m)
+    return m
 
 
 def _check_wdeg(c):
@@ -825,7 +826,9 @@ def _w_power(c):
 
 
 def render(x):
-    """Canonical text form.  Round-trips through parse_ring_elem."""
+    """The stored form as text.  Round-trips through parse_ring_elem.
+    The normal form is not canonical, so equal elements can render
+    differently: (w + 1)/(w^2 - 1) and 1/(w - 1), for one."""
     return _render(x, _w_power)
 
 

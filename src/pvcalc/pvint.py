@@ -7,14 +7,19 @@ and every curve with exponent 0 contributes minus its self-intersection
 times the factors of its neighbors.  All arithmetic is exact in the
 realization ring; the Euler characteristic is the euler_realize of the
 invariant, and the point-count specialization corrects it per curve.
+
+stratum_terms is the one builder of these terms: invariant_sum applies
+it to every stratum and curve, birational.invariance_delta to the
+strata and curves a blow-up changes, before and after it.  It alone
+decides which strata count; motring._as_exponent is the one conversion
+of an alpha to its integer exponent alpha*d.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ContextError, ExponentError, LogPoleError, ValidationError
-from .motring import (HodgePoly, from_hodge, from_int, lfactor, lpow,
-                      numeric_eval, ring_sum)
+from .errors import ContextError, LogPoleError, ValidationError
+from .motring import (HodgePoly, _as_exponent, _lfactor_cached, from_hodge,
+                      from_int, lfactor, lpow, numeric_eval, ring_sum)
 from .surface import strata, validate
 
 
@@ -26,47 +31,46 @@ def invariant_sum(config):
     identities that hold formula-wise even on configurations that fail
     validation (the all-exponents-one partition identity, for one).
 
-    Terms, in order: the open stratum; each other stratum of strata()
-    whose curves all have alpha != 0, times their lfactors with integer
-    exponents m = alpha*d (from _term); each alpha = 0 curve with
-    nonzero self-intersection.  The terms and the order of every product
-    are those of the plain loop, so the stored result is too.  An alpha
-    outside (1/d) Z raises ExponentError, an alpha = 0 neighbor of a
-    counted alpha = 0 curve LogPoleError, as lfactor does.
+    The terms are those stratum_terms builds for every stratum of
+    strata() and every curve, in that order, so the stored result is
+    that of the plain loop.
 
     The cache is small on purpose: it serves callers that sum an equal
     Config twice in a row (residue_contribution, then pole_report),
     while an unbounded one would keep every Config summed alive.
     """
+    return ring_sum(stratum_terms(config, strata(config), config.curves),
+                    config.d)
+
+
+def stratum_terms(config, strata, curves):
+    """The terms of the given strata and curves of config, in order.
+
+    strata holds (ids, class) pairs, as surface.strata yields them.  A
+    stratum counts when every curve in it has alpha != 0 (the open
+    stratum, ids == (), always does); its term is its class times
+    lfactor(alpha) for each of its curves, in order.  Then each curve of
+    curves with alpha = 0 and nonzero self-intersection gives minus its
+    self-intersection times the lfactor of each neighbor, in id order.
+    An alpha outside (1/d) Z raises ExponentError, an alpha = 0 neighbor
+    of a counted alpha = 0 curve LogPoleError, as lfactor does.
+    """
     d = config.d
-    m = {}
-    for c in config.curves:
-        if c.alpha:
-            q, r = divmod(c.alpha.numerator * d, c.alpha.denominator)
-            if r:
-                raise ExponentError(
-                    f"exponent {c.alpha} is not a multiple of 1/{d}")
-            m[c.id] = q
-    walk = strata(config)
-    _, open_class = next(walk)
-    terms = [from_hodge(open_class, d)]
-    for ids, h in walk:
-        ms = tuple(map(m.get, ids))
-        if None not in ms:
-            terms.append(_term(tuple(h.items()), ms, d))
-    for c in config.curves:
+    counted = []
+    for ids, h in strata:
+        alphas = [config.curve(i).alpha for i in ids]
+        if all(alphas):
+            counted.append((h, tuple(_as_exponent(a, d) for a in alphas)))
+    # every exponent is read before a term is built, so an alpha outside
+    # (1/d) Z is reported ahead of a packed-key overflow in some term
+    terms = [_term(tuple(h.items()), ms, d) for h, ms in counted]
+    for c in curves:
         if c.alpha == 0 and c.self_int != 0:
-            terms.append(_zero_curve_term(config, c))
-    return ring_sum(terms, d)
-
-
-def _zero_curve_term(config, c):
-    """The term of a curve with alpha = 0: minus its self-intersection
-    times the lfactor of each neighbor, in id order."""
-    t = from_int(-c.self_int, config.d)
-    for j in config.neighbors[c.id]:
-        t = t * lfactor(config.curve(j).alpha, config.d)
-    return t
+            t = from_int(-c.self_int, d)
+            for j in config.neighbors[c.id]:
+                t = t * lfactor(config.curve(j).alpha, d)
+            terms.append(t)
+    return terms
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +81,7 @@ def _term(items, ms, d):
     orders, which from_hodge keeps, so they must not share an entry."""
     t = from_hodge(HodgePoly(dict(items)), d)
     for m in ms:
-        t = t * lfactor(Fraction(m, d), d)
+        t = t * _lfactor_cached(m, d)
     return t
 
 

@@ -184,9 +184,6 @@ class Config:
     def _findings(self):
         return _compute_findings(self)
 
-    def __hash__(self):
-        return hash((self.d, self.ambient_hodge, self.curves, self.points))
-
 
 # ---- ambient surface classes ----------------------------------------
 
@@ -551,13 +548,25 @@ def load_config(obj, default_d=None):
         raise SchemaError(f"bad configuration data: {exc}") from exc
 
 
-def save_config(config, path):
+def _write_json(obj, path):
     with open(path, "w") as fh:
-        json.dump(dump_config(config), fh, indent=2, sort_keys=False)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 
+def _read_json(path):
+    """The JSON document in a file.  Text that is not UTF-8, not JSON or
+    nested past the parser's recursion limit is malformed input."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"malformed JSON: {exc}") from None
+
+
+def save_config(config, path):
+    _write_json(dump_config(config), path)
+
+
 def read_config(path, default_d=None):
-    with open(path) as fh:
-        obj = json.load(fh)
-    return load_config(obj, default_d=default_d)
+    return load_config(_read_json(path), default_d=default_d)

@@ -17,14 +17,14 @@ substituting T = L^(v_j/N_j) collapses every remaining factor to
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-import json
 
 from .errors import ConfigError, DataError, GenericityError, SchemaError
 from .motring import HodgePoly, from_int, lpow, ring_sum
 from .pvint import _term, invariant_sum
 from .surface import (Config, Curve, Report, _ambient_from_json,
-                      _ambient_to_json, _as_int, _is_int, euler_complement,
-                      is_connected, strata, validate)
+                      _ambient_to_json, _as_int, _is_int, _read_json,
+                      _write_json, euler_complement, is_connected, strata,
+                      validate)
 
 CREATIONS = ("point", "rational_curve", "nonrational_curve")
 
@@ -239,8 +239,7 @@ def residue_via_substitution(terms, j, d=1):
         parts.append(_term(tuple(t.hodge.items()), tuple(ms), d_eff))
     total = ring_sum(parts, d_eff)
     lm1 = lpow(1, d_eff) - from_int(1, d_eff)
-    n = terms.n if hasattr(terms, "n") else 2
-    return total * lm1 * lpow(vj, d_eff) * lpow(-(n + 1), d_eff)
+    return total * lm1 * lpow(vj, d_eff) * lpow(-(terms.n + 1), d_eff)
 
 
 # ---- verdicts ----------------------------------------------------------
@@ -365,11 +364,8 @@ def load_datum(obj):
 
 
 def save_datum(datum, path):
-    with open(path, "w") as fh:
-        json.dump(dump_datum(datum), fh, indent=2)
-        fh.write("\n")
+    _write_json(dump_datum(datum), path)
 
 
 def read_datum(path):
-    with open(path) as fh:
-        return load_datum(json.load(fh))
+    return load_datum(_read_json(path))

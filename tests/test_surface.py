@@ -508,6 +508,15 @@ def test_read_config_missing_file(tmp_path):
         read_config(tmp_path / "absent.json")
 
 
+@pytest.mark.parametrize("content", [b'{"d": ', b"\xff\xfe"],
+                         ids=["truncated", "not-utf8"])
+def test_read_config_malformed_json(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError, match="malformed JSON"):
+        read_config(path)
+
+
 # ---- randomized canonicalization ----------------------------------------
 
 ids = st.sampled_from(["A", "B", "C", "D"])

@@ -419,6 +419,15 @@ def test_datum_json_roundtrip(tmp_path):
     assert read_datum(path) == tri
 
 
+@pytest.mark.parametrize("content", [b'{"nj": ', b"\xff\xfe"],
+                         ids=["truncated", "not-utf8"])
+def test_read_datum_malformed_json(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError, match="malformed JSON"):
+        read_datum(path)
+
+
 def test_datum_json_extras():
     nr = SurfaceResolutionDatum(
         nj=3, vj=2, surface_hodge=PLANE, creation="nonrational_curve",
