@@ -22,8 +22,8 @@ from .models import (PipelineStep, case_c_resolved, conic_pipeline_demo,
                      hirzebruch_case_a, hirzebruch_case_b, plane_conic,
                      random_config)
 from .zeta import (ResolutionComponent, SurfaceResolutionDatum, ZMotDatum,
-                   ZTerm, ZTermList, alphas_from_numerical, build_config,
-                   dump_datum, load_datum, pole_report, read_datum,
+                   alphas_from_numerical, build_config, dump_datum,
+                   load_datum, pole_report, read_datum,
                    residue_contribution, residue_via_substitution,
                    save_datum, triangle_datum, zmot_contribution,
                    zmot_from_surface)

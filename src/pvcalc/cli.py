@@ -94,6 +94,8 @@ def cmd_compute(args):
         raise InputError("--q is required for the padic realization")
     if args.realization != "padic" and args.q is not None:
         raise InputError("--q only applies to the padic realization")
+    if args.q is not None and args.q < 2:
+        raise InputError("--q must be an integer >= 2")
     cfg = _read_config(args.path)
     has_log = any(c.alpha == 0 for c in cfg.curves)
     if args.realization == "motivic":

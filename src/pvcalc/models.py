@@ -25,8 +25,6 @@ from .pvint import e_invariant
 from .surface import (Config, Curve, euler_complement, is_connected, plane,
                       ruled, validate)
 
-_UV = HodgePoly({(1, 1): 1})
-
 
 def hirzebruch_case_a(e, fibre_alphas, d):
     """Section with alpha = -1 and self-intersection -e, plus fibres.

@@ -40,7 +40,6 @@ up under products, within that field.  A misfit raises ExponentError.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd
@@ -274,7 +273,7 @@ def _normalize(d, num, wpow, cyclo):
     cannot carry out of the c field."""
     if not num:
         return {}, 0, ()
-    counts = Counter(cyclo)
+    counts = _counts(cyclo)
     for k in sorted(counts, reverse=True):
         while counts[k]:
             quo = K.pcyclo_div(num, k)
@@ -292,10 +291,7 @@ def _normalize(d, num, wpow, cyclo):
         raise ExponentError(
             f"exponents too large for packed keys (weight {weight} "
             f"exceeds 2^{K.KEY_SHIFT} - 1)")
-    cy = []
-    for k in sorted(counts):
-        cy.extend([k] * counts[k])
-    return num, wpow, tuple(cy)
+    return num, wpow, _cyclo(counts)
 
 
 def _store(x, d, num, wpow, cyclo):
@@ -483,6 +479,14 @@ def _counts(cyclo):
     return out
 
 
+def _cyclo(counts):
+    """The sorted factor tuple of {k: multiplicity} counts."""
+    cy = []
+    for k in sorted(counts):
+        cy.extend([k] * counts[k])
+    return tuple(cy)
+
+
 def _lcm(ca, cb):
     """Per-factor max multiplicity of two {k: multiplicity} dicts."""
     out = dict(ca)
@@ -626,10 +630,7 @@ def ring_sum(terms, d=None):
         (wpow, cyclo), num = groups.popitem()
         return RingElem(d0, num, wpow, cyclo)
     wp, union, acc = _lift_and_add(groups)
-    cy = []
-    for k in sorted(union):
-        cy.extend([k] * union[k])
-    return RingElem(d0, acc, wp, tuple(cy))
+    return RingElem(d0, acc, wp, _cyclo(union))
 
 
 # ---------------------------------------------------------------------------
@@ -717,28 +718,18 @@ def numeric_eval(x, q):
     """Point-count style evaluation at u = q, v = 1, w = x with
     x^d = q, as a coefficient vector over Q.  q must be an int >= 2.
 
-    When q is a perfect d-th power m^d the evaluation factors further
-    through x -> m and a single rational comes back ([value]); else
-    the result is the length-d coefficient vector mod x^d - q.  That
-    vector is computed exactly over Z with one common denominator:
-    every stored denominator factor is a unit mod x^d - q (x because
-    x^d = q, and x^k - 1 by _cyclo_solve), so each is divided out in
-    closed form and Fractions are only built for the result.
+    The length-d coefficient vector mod x^d - q is computed exactly
+    over Z with one common denominator: every stored denominator factor
+    is a unit mod x^d - q (x because x^d = q, and x^k - 1 by
+    _cyclo_solve), so each is divided out in closed form and Fractions
+    are only built for the result.  When q is a perfect d-th power m^d,
+    x -> m is a ring map out of Q[x]/(x^d - q) under which no stored
+    denominator factor vanishes (m >= 2), so the vector is evaluated
+    there and a single rational comes back ([value]).
     """
     if not isinstance(q, int) or isinstance(q, bool) or q < 2:
         raise ValueError("q must be an integer >= 2")
     d = x.d
-    m = _int_root(q, d)
-    if m is not None:
-        numval = 0
-        for key, coeff in x.num.items():
-            t = K.key_t(key)
-            c = K.key_c(key)
-            numval += coeff * m ** c * (q ** t if t > 0 else 1)
-        denval = m ** x.wpow
-        for k in x.cyclo:
-            denval *= m ** k - 1
-        return [Fraction(numval, denval)]
     # u^t w^c -> q^(t+ + c // d) x^(c % d)
     vec = [0] * d
     for key, coeff in x.num.items():
@@ -755,6 +746,9 @@ def numeric_eval(x, q):
     for k in x.cyclo:
         vec, r1 = _cyclo_solve(vec, k, q)
         den *= r1
+    m = _int_root(q, d)
+    if m is not None:
+        return [Fraction(sum(v * m ** i for i, v in enumerate(vec)), den)]
     return [Fraction(v, den) for v in vec]
 
 
@@ -812,7 +806,7 @@ def _render(x, wpow):
     factors = []
     if x.wpow:
         factors.append(wpow(x.wpow))
-    counts = Counter(x.cyclo)
+    counts = _counts(x.cyclo)
     for k in sorted(counts):
         base = f"({wpow(k)} - 1)"
         e = counts[k]

@@ -47,6 +47,14 @@ class ResolutionComponent:
             raise DataError(f"component {self.id}: N must be a positive integer")
         if not _is_int(self.v) or self.v < 1:
             raise DataError(f"component {self.id}: v must be a positive integer")
+        if not _is_int(self.genus) or self.genus < 0:
+            raise DataError(
+                f"component {self.id}: genus must be a nonnegative integer")
+        if not _is_int(self.self_int):
+            raise DataError(
+                f"component {self.id}: self-intersection must be an integer")
+        if not _is_int(self.trace):
+            raise DataError(f"component {self.id}: trace must be an integer")
 
 
 @dataclass(frozen=True)
@@ -94,11 +102,11 @@ def alphas_from_numerical(datum):
     """Exponents alpha_i = v_i - (v_j/N_j) N_i, all required nonzero."""
     out = {}
     for c in datum.components:
-        a = Fraction(c.v) - Fraction(datum.vj, datum.nj) * c.N
-        if a == 0:
+        m = c.v * datum.nj - datum.vj * c.N
+        if m == 0:
             raise GenericityError(
                 f"component {c.id} has v/N = {datum.vj}/{datum.nj}, alpha = 0")
-        out[c.id] = a
+        out[c.id] = Fraction(m, datum.nj)
     return out
 
 
@@ -129,31 +137,6 @@ def residue_contribution(datum):
 
 
 @dataclass(frozen=True)
-class ZTerm:
-    """One stratum term: its class and the (id, N, v) factors."""
-
-    ids: tuple
-    hodge: HodgePoly
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class ZTermList:
-    n: int
-    j: str
-    terms: tuple
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __getitem__(self, k):
-        return self.terms[k]
-
-
-@dataclass(frozen=True)
 class ZMotDatum:
     """Strata classes and numerical data of an ambient resolution.
 
@@ -177,22 +160,18 @@ class ZMotDatum:
 
 
 def zmot_contribution(z, j):
-    """The formal terms of the contribution of component j.
+    """The ZMotDatum of the strata of z that contain component j.
 
-    One term per stratum containing j; nothing is expanded, each term
-    keeps its class and its (L-1)T^N / (L^v - T^N) factor data.
+    They are the terms of E_j's contribution to the motivic zeta
+    function; nothing is expanded, each keeps its class, and its
+    (L-1)T^N / (L^v - T^N) factors are read from z.numerical.
     """
     if j not in z.numerical:
         raise DataError(f"unknown component {j!r}")
-    terms = []
-    for ids, h in z.strata:
-        if j not in ids:
-            continue
-        factors = tuple((i,) + tuple(z.numerical[i]) for i in ids)
-        terms.append(ZTerm(ids, h, factors))
-    if not terms:
+    through = tuple((ids, h) for ids, h in z.strata if j in ids)
+    if not through:
         raise DataError(f"component {j!r} appears in no stratum")
-    return ZTermList(n=z.n, j=j, terms=tuple(terms))
+    return ZMotDatum(z.n, through, z.numerical)
 
 
 def zmot_from_surface(datum, j="Ej"):
@@ -207,39 +186,38 @@ def zmot_from_surface(datum, j="Ej"):
                      numerical=numerical)
 
 
-def residue_via_substitution(terms, j, d=1):
+def residue_via_substitution(z, j, d=1):
     """Clear the j-factor denominator and substitute T = L^(v_j/N_j).
 
-    Works in the realization ring with denominator d * N_j.  Every
-    factor with i != j collapses to (L-1)/(L^alpha_i - 1); the j-factor
-    leaves (L-1) L^(v_j) behind, and the whole sum carries L^-(n+1).
+    z holds the strata of E_j's contribution (see zmot_contribution),
+    every one containing j.  Works in the realization ring with
+    denominator d * N_j.  Every factor with i != j collapses to
+    (L-1)/(L^alpha_i - 1); the j-factor leaves (L-1) L^(v_j) behind,
+    and the whole sum carries L^-(n+1).
     """
-    numerical = {}
-    for t in terms:
-        for i, N, v in t.factors:
-            numerical[i] = (N, v)
-    if j not in numerical:
+    if not any(j in ids for ids, _ in z.strata):
         raise DataError(f"component {j!r} does not appear in the terms")
-    nj, vj = numerical[j]
+    nj, vj = z.numerical[j]
     d_eff = d * nj
     parts = []
-    for t in terms:
-        if j not in t.ids:
+    for ids, h in z.strata:
+        if j not in ids:
             raise DataError("every term must contain the component j")
         ms = []
-        for i, N, v in t.factors:
+        for i in ids:
             if i == j:
                 continue
+            N, v = z.numerical[i]
             # alpha_i * d_eff, with alpha_i = v - (vj / nj) * N
             m = d * (v * nj - vj * N)
             if m == 0:
                 raise GenericityError(
                     f"substitution pole: component {i} has v/N = {vj}/{nj}")
             ms.append(m)
-        parts.append(_term(tuple(t.hodge.items()), tuple(ms), d_eff))
+        parts.append(_term(tuple(h.items()), tuple(ms), d_eff))
     total = ring_sum(parts, d_eff)
     lm1 = lpow(1, d_eff) - from_int(1, d_eff)
-    return total * lm1 * lpow(vj, d_eff) * lpow(-(terms.n + 1), d_eff)
+    return total * lm1 * lpow(vj, d_eff) * lpow(-(z.n + 1), d_eff)
 
 
 # ---- verdicts ----------------------------------------------------------

@@ -149,6 +149,10 @@ def test_compute_flag_combinations(conic_file, capsys):
     assert "required" in capsys.readouterr().err
     assert main(["compute", conic_file, "--q", "3"]) == 2
     assert "padic" in capsys.readouterr().err
+    for q in ("1", "0", "-5"):
+        assert main(["compute", conic_file, "--realization", "padic",
+                     "--q", q]) == 2
+        assert "--q must be an integer >= 2" in capsys.readouterr().err
 
 
 def test_compute_validation_failure(bad_file, capsys):
@@ -432,8 +436,9 @@ def test_config_schema_exit_code(pattern_file, tmp_path, capsys, mutate):
     lambda o: o["components"][0].__setitem__("v", True),
     lambda o: o["components"][0].__setitem__("genus", False),
     lambda o: o["components"][0].__setitem__("self", True),
+    lambda o: o["components"][0].__setitem__("genus", -1),
 ], ids=["surface-list", "nj-bool", "N-bool", "v-bool", "genus-bool",
-        "self-bool"])
+        "self-bool", "genus-negative"])
 def test_datum_schema_exit_code(tmp_path, capsys, mutate):
     obj = dump_datum(triangle_datum())
     path = tmp_path / "datum.json"

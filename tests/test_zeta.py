@@ -13,8 +13,8 @@ from pvcalc.motring import (HodgePoly, from_hodge, from_int, lfactor, lpow,
                             numeric_eval, one, render, ring_sum)
 from pvcalc.surface import strata
 from pvcalc.zeta import (ResolutionComponent, SurfaceResolutionDatum, ZMotDatum,
-                         ZTerm, ZTermList, alphas_from_numerical, build_config,
-                         dump_datum, load_datum, pole_report, read_datum,
+                         alphas_from_numerical, build_config, dump_datum,
+                         load_datum, pole_report, read_datum,
                          residue_contribution, residue_via_substitution,
                          save_datum, triangle_datum, zmot_contribution,
                          zmot_from_surface)
@@ -57,6 +57,12 @@ def test_structural_checks():
         ResolutionComponent("A", 0, 0, 0, 1)
     with pytest.raises(DataError):
         ResolutionComponent("A", 0, 0, 1, 0)
+    with pytest.raises(DataError, match="genus must be a nonnegative"):
+        ResolutionComponent("A", -1, 0, 1, 1)
+    with pytest.raises(DataError, match="self-intersection"):
+        ResolutionComponent("A", 0, "1", 1, 1)
+    with pytest.raises(DataError, match="trace"):
+        ResolutionComponent("A", 1, 0, 1, 1, trace=None)
     with pytest.raises(DataError):
         SurfaceResolutionDatum(0, 1, PLANE, "point")
     with pytest.raises(DataError):
@@ -159,15 +165,18 @@ def test_residue_rejects_inconsistent_data():
 def test_zmot_terms():
     z = zmot_from_surface(triangle_datum())
     terms = zmot_contribution(z, "Ej")
-    assert len(terms) == 1 + 3 + 3
-    assert terms.n == 2 and terms.j == "Ej"
-    assert all("Ej" in t.ids for t in terms)
-    assert terms[0].ids == ("Ej",)
-    singles = [t for t in terms if len(t.ids) == 2]
-    assert sorted(t.ids for t in singles) == [
-        ("D1", "Ej"), ("D2", "Ej"), ("D3", "Ej")]
-    for t in singles:
-        assert {f[0] for f in t.factors} == set(t.ids)
+    assert isinstance(terms, ZMotDatum)
+    assert len(terms.strata) == 1 + 3 + 3
+    assert terms.n == 2 and terms.numerical == z.numerical
+    assert terms.strata == tuple(s for s in z.strata if "Ej" in s[0])
+    assert terms.strata[0][0] == ("Ej",)
+    singles = [ids for ids, _ in terms.strata if len(ids) == 2]
+    assert sorted(singles) == [("D1", "Ej"), ("D2", "Ej"), ("D3", "Ej")]
+    # a datum with strata away from j keeps only those through j
+    wider = ZMotDatum(2, ((("A",), PLANE), (("A", "Ej"), HodgePoly.one())),
+                      {"A": (3, 1), "Ej": (2, 1)})
+    assert zmot_contribution(wider, "Ej").strata == (
+        (("A", "Ej"), HodgePoly.one()),)
     with pytest.raises(DataError):
         zmot_contribution(z, "nope")
     with pytest.raises(DataError):
@@ -213,33 +222,39 @@ def test_substitution_wider_context():
 
 
 def test_substitution_guards():
-    bad = ZTerm(("A",), HodgePoly.one(), (("A", 2, 1),))
-    with pytest.raises(DataError):
-        residue_via_substitution(ZTermList(2, "Ej", (bad,)), "Ej")
-    pole = ZTerm(("Ej", "A"), HodgePoly.one(), (("Ej", 2, 1), ("A", 2, 1)))
+    numerical = {"A": (2, 1), "Ej": (2, 1)}
+    for strata in ((), ((("A",), HodgePoly.one()),)):
+        bad = ZMotDatum(2, strata, numerical)
+        for fn in (residue_via_substitution,
+                   reference_residue_via_substitution):
+            with pytest.raises(DataError, match="does not appear"):
+                fn(bad, "Ej")
+    mixed = ZMotDatum(2, ((("Ej",), PLANE), (("A",), HodgePoly.one())),
+                      numerical)
+    for fn in (residue_via_substitution, reference_residue_via_substitution):
+        with pytest.raises(DataError, match="every term must contain"):
+            fn(mixed, "Ej")
+    pole = ZMotDatum(2, ((("Ej", "A"), HodgePoly.one()),), numerical)
     with pytest.raises(GenericityError):
-        residue_via_substitution(ZTermList(2, "Ej", (pole,)), "Ej")
+        residue_via_substitution(pole, "Ej")
 
 
-def reference_residue_via_substitution(terms, j, d=1):
+def reference_residue_via_substitution(z, j, d=1):
     """residue_via_substitution as first written: every term built by
     its own products, each exponent in Fraction arithmetic, no caches."""
-    numerical = {}
-    for t in terms:
-        for i, N, v in t.factors:
-            numerical[i] = (N, v)
-    if j not in numerical:
+    if all(j not in ids for ids, _ in z.strata):
         raise DataError(f"component {j!r} does not appear in the terms")
-    nj, vj = numerical[j]
+    nj, vj = z.numerical[j]
     d_eff = d * nj
     parts = []
-    for t in terms:
-        if j not in t.ids:
+    for ids, h in z.strata:
+        if j not in ids:
             raise DataError("every term must contain the component j")
-        elem = from_hodge(t.hodge, d_eff)
-        for i, N, v in t.factors:
+        elem = from_hodge(h, d_eff)
+        for i in ids:
             if i == j:
                 continue
+            N, v = z.numerical[i]
             a = Fraction(v) - Fraction(vj, nj) * N
             if a == 0:
                 raise GenericityError(
@@ -248,8 +263,7 @@ def reference_residue_via_substitution(terms, j, d=1):
         parts.append(elem)
     total = ring_sum(parts, d_eff)
     lm1 = lpow(1, d_eff) - from_int(1, d_eff)
-    n = terms.n if hasattr(terms, "n") else 2
-    return total * lm1 * lpow(vj, d_eff) * lpow(-(n + 1), d_eff)
+    return total * lm1 * lpow(vj, d_eff) * lpow(-(z.n + 1), d_eff)
 
 
 def numerical_data(cfg, scale):
@@ -265,24 +279,24 @@ def numerical_data(cfg, scale):
 
 @st.composite
 def substitution_terms(draw):
-    """Hand-built ZTerms of a random_config's strata (all of them, or
-    some, in a drawn order), with data at scale 1 or 2.  A curve with
-    alpha 0 makes a pole; a term's class may hold its Hodge terms in
-    reverse order, which is equal but stores differently."""
+    """A hand-built ZMotDatum of a random_config's strata through "Ej"
+    (all of them, or some, drawn with repeats and in a drawn order), with
+    data at scale 1 or 2.  A curve with alpha 0 makes a pole; a stratum's
+    class may hold its Hodge terms in reverse order, which is equal but
+    stores differently."""
     cfg = random_config(draw(st.integers(0, 300)),
                         max_blowups=draw(st.integers(0, 6)))
-    numerical, (nj, vj) = numerical_data(cfg, draw(st.sampled_from((1, 2))))
+    numerical, ej = numerical_data(cfg, draw(st.sampled_from((1, 2))))
+    numerical["Ej"] = ej
     terms = []
     for ids, h in strata(cfg):
         if draw(st.booleans()):
             h = HodgePoly(dict(reversed(list(h.items()))))
-        factors = [(i,) + numerical[i] for i in ids]
-        factors = draw(st.permutations(factors + [("Ej", nj, vj)]))
-        terms.append(ZTerm(("Ej",) + ids, h, tuple(factors)))
+        terms.append((("Ej",) + ids, h))
     if draw(st.booleans()):
         terms = draw(st.lists(st.sampled_from(terms), min_size=1,
                               max_size=len(terms)))
-    return ZTermList(2, "Ej", tuple(terms))
+    return ZMotDatum(2, tuple(terms), numerical)
 
 
 def stored_or_error(fn, *args):
@@ -307,8 +321,7 @@ def test_substitution_keeps_each_class_order():
     flipped = HodgePoly({(0, 0): -1, (1, 1): 1})
     assert line == flipped
     for h in (line, flipped, line):
-        terms = ZTermList(2, "Ej", (
-            ZTerm(("A", "Ej"), h, (("A", 3, 1), ("Ej", 2, 1))),))
+        terms = ZMotDatum(2, ((("A", "Ej"), h),), {"A": (3, 1), "Ej": (2, 1)})
         assert stored_or_error(residue_via_substitution, terms, "Ej") == \
             stored_or_error(reference_residue_via_substitution, terms, "Ej")
 
@@ -320,10 +333,10 @@ def test_substitution_matches_fraction_reference_on_data():
             assert stored_or_error(residue_via_substitution, terms, "Ej", d) \
                 == stored_or_error(reference_residue_via_substitution,
                                    terms, "Ej", d)
-    pole = ZTermList(2, "Ej", (
-        ZTerm(("Ej",), PLANE, (("Ej", 2, 1),)),
-        ZTerm(("A", "Ej"), HodgePoly.one(), (("A", 3, 1), ("Ej", 2, 1))),
-        ZTerm(("B", "Ej"), HodgePoly.one(), (("B", 4, 2), ("Ej", 2, 1)))))
+    pole = ZMotDatum(2, ((("Ej",), PLANE),
+                         (("A", "Ej"), HodgePoly.one()),
+                         (("B", "Ej"), HodgePoly.one())),
+                     {"Ej": (2, 1), "A": (3, 1), "B": (4, 2)})
     for fn in (residue_via_substitution, reference_residue_via_substitution):
         with pytest.raises(GenericityError,
                            match="component B has v/N = 1/2"):
@@ -417,6 +430,16 @@ def test_datum_json_roundtrip(tmp_path):
     path = tmp_path / "tri.json"
     save_datum(tri, path)
     assert read_datum(path) == tri
+
+
+def test_read_datum_negative_genus(tmp_path):
+    obj = dump_datum(triangle_datum())
+    obj["components"][0]["genus"] = -1
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError,
+                       match="D1: genus must be a nonnegative integer"):
+        read_datum(path)
 
 
 @pytest.mark.parametrize("content", [b'{"nj": ', b"\xff\xfe"],
