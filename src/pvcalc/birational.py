@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from .errors import CenterError, ContractionError, ValidationError
 from .motring import HodgePoly, from_int, lfactor, lpow, ring_sum
 from .pvint import require_valid, stratum_terms
-from .surface import Config, Curve, stratum_class, validate
+from .surface import (Config, Curve, _inherit_findings, stratum_class,
+                      validate)
 
 _UV = HodgePoly({(1, 1): 1})
 
@@ -114,6 +115,31 @@ def blow_up(config, center):
     The ambient class gains uv.  Curves through the center lose 1 from
     their self-intersection and meet the new exceptional curve once.
     Adjunction defects and allowedness are preserved.
+
+    config must be valid, and then so is the result: its findings are
+    stored on it, not computed, so validating it costs nothing.  With T
+    the curves through the center and E the new curve, they are two:
+    - chi of the complement, chi + |T| - [point center] - 1 (uv adds 1,
+      E is a P^1, the points change by |T| - [point center]), counted
+      by euler_complement, which builds no polynomial;
+    - connectivity: a point or curve center keeps config's finding;
+      at a free center E meets no curve, so the divisor is disconnected
+      if config had curves and connected if it had none.
+    No error can occur:
+    - each curve i of T keeps its adjunction defect, which changes by
+      -alpha_i - sum over j in T, j != i, of (alpha_j - 1)
+      + (alpha_E - 1) = 0;
+    - E has defect -alpha_E + sum over T of (alpha_i - 1) + 2 = 0;
+    - alpha_E is a sum of multiples of 1/d and an integer;
+    - E has genus 0 and at most two points, so an alpha_E = 0 curve
+      meets at most two curves with alpha != 1;
+    - an alpha = 0 curve of T keeps its count of points on curves with
+      alpha != 1: at a point center it trades its point on the other
+      branch for one on E, and alpha_E is that branch's alpha; at a
+      curve center it gains one on E, and alpha_E = 1;
+    - alpha_E = 0 next to an alpha = 0 curve of T needs the other
+      branch to have alpha 0 too, a log pair config would already have.
+    Curves away from T keep their neighbours and self-intersections.
     """
     rep = validate(config)
     if not rep.ok:
@@ -138,8 +164,10 @@ def blow_up(config, center):
     for i in touched:
         points.append((i, new_id, 0))
 
-    return Config(d=config.d, ambient_hodge=config.ambient_hodge + _UV,
-                  curves=tuple(curves), points=tuple(points))
+    after = Config(d=config.d, ambient_hodge=config.ambient_hodge + _UV,
+                   curves=tuple(curves), points=tuple(points))
+    _inherit_findings(config, after, center.kind == "free")
+    return after
 
 
 def blow_down(config, curve_id):
@@ -242,9 +270,10 @@ def invariance_delta(config, center):
     Zero except for exceptional centers, where it equals
     lfactor(a) * lfactor(-a) + L for the pattern exponents (a, -a).
 
-    Both configurations are validated, but neither invariant is summed:
-    the delta is one ring_sum of after-minus-before terms over the
-    strata the blow-up changes.  With T the curves through the center
+    config is validated, and the blown-up configuration inherits its
+    validation from blow_up, which stores its findings.  Neither
+    invariant is summed: the delta is one ring_sum of after-minus-before
+    terms over the strata the blow-up changes.  With T the curves through the center
     and E the exceptional curve, these are
     - the open stratum: its class gains uv - [P^1] = -1 plus the points
       added minus the point removed;

@@ -120,7 +120,8 @@ def cmd_blowup(args):
     center = parse_center(args.center)
     exceptional = is_exceptional_center(cfg, center)
     result = blow_up(cfg, center)
-    # validated as e_invariant(result) would; blow_up validated cfg
+    # checked as e_invariant(result) would be; blow_up validated cfg and
+    # stored result's findings, so this reads them
     require_valid(result)
     delta = _local_delta(cfg, result, center)
     print(f"delta = {render(delta)}  [{legend(cfg.d)}]")

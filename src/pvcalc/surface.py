@@ -164,6 +164,15 @@ class Config:
             cnt[(a, b)] = cnt.get((a, b), 0) + 1
         return cnt
 
+    @cached_property
+    def points_per_curve(self):
+        """id -> number of intersection points on that curve."""
+        cnt = dict.fromkeys(self.curve_map, 0)
+        for a, b, _ in self.points:
+            cnt[a] += 1
+            cnt[b] += 1
+        return cnt
+
     def intersection(self, i, j):
         """Intersection number of two distinct curves of the configuration."""
         if i == j:
@@ -255,7 +264,7 @@ def stratum_class(config, I):
         return _open_class(config)
     if len(ids) == 1:
         c = config.curve(ids[0])
-        return _curve_stratum(c.genus, len(config.points_on(ids[0])))
+        return _curve_stratum(c.genus, config.points_per_curve[c.id])
     if len(ids) == 2:
         return _point_class(config.intersection(ids[0], ids[1]))
     raise ConfigError("at most two curves pass through any point")
@@ -268,10 +277,7 @@ def strata(config):
     order.  Curve and point classes are cached by their integer
     signatures, so equal signatures share one HodgePoly."""
     yield (), _open_class(config)
-    npoints = dict.fromkeys(config.curve_map, 0)
-    for a, b, _ in config.points:
-        npoints[a] += 1
-        npoints[b] += 1
+    npoints = config.points_per_curve
     for c in config.curves:
         yield (c.id,), _curve_stratum(c.genus, npoints[c.id])
     for pair, n in config.pair_counts.items():
@@ -435,16 +441,33 @@ def _compute_findings(config):
             rep.add("error", "allowed-points",
                     f"curve {c.id} with alpha 0 meets curves with alpha != 1 "
                     f"in {special[c.id]} points (at most 2)")
-    rep.add("info", "chi",
-            f"euler characteristic of the open complement: {euler_complement(config)}")
-    if not curves:
-        rep.add("warning", "connectivity",
-                "empty divisor counts as disconnected")
-    else:
-        rep.add("info", "connectivity",
-                "divisor is connected" if is_connected(config)
-                else "divisor is disconnected")
-    return tuple(rep.findings)
+    return tuple(rep.findings) + _closing_findings(config, is_connected(config))
+
+
+def _closing_findings(config, connected):
+    """The two findings that end every validation: the Euler
+    characteristic of config's complement, then whether its divisor is
+    connected (read only when it has curves)."""
+    chi = Finding("info", "chi", "euler characteristic of the open complement: "
+                  f"{euler_complement(config)}")
+    if not config.curves:
+        return chi, Finding("warning", "connectivity",
+                            "empty divisor counts as disconnected")
+    return chi, Finding("info", "connectivity",
+                        "divisor is connected" if connected
+                        else "divisor is disconnected")
+
+
+def _inherit_findings(config, after, free):
+    """Store its findings on after, the blow-up of the valid config at a
+    free center when free is true, without checking it: its chi, then
+    config's connectivity finding, or at a free center that of E apart
+    from config's curves.  birational.blow_up shows that after has no
+    other finding."""
+    chi, connectivity = _closing_findings(after, not config.curves)
+    if not free:
+        connectivity = config._findings[-1]
+    after.__dict__["_findings"] = (chi, connectivity)
 
 
 # ---- JSON serialization -----------------------------------------------

@@ -141,7 +141,9 @@ class ZMotDatum:
     """Strata classes and numerical data of an ambient resolution.
 
     n is the ambient dimension minus one (2 for surfaces in threefolds);
-    strata pairs a sorted id subset with the class of its open stratum.
+    strata pairs a sorted id subset with the class of its open stratum;
+    numerical maps each component id to its (N, v), a pair of positive
+    ints, and must cover every id of strata.
     """
 
     n: int
@@ -149,6 +151,15 @@ class ZMotDatum:
     numerical: dict = field(hash=False)
 
     def __post_init__(self):
+        for i, data in self.numerical.items():
+            if not (isinstance(data, tuple) and len(data) == 2):
+                raise DataError(
+                    f"component {i}: numerical data must be a pair (N, v)")
+            N, v = data
+            if not _is_int(N) or N < 1:
+                raise DataError(f"component {i}: N must be a positive integer")
+            if not _is_int(v) or v < 1:
+                raise DataError(f"component {i}: v must be a positive integer")
         strata = tuple((tuple(sorted(ids)), h) for ids, h in self.strata)
         for ids, h in strata:
             for i in ids:
@@ -191,10 +202,12 @@ def residue_via_substitution(z, j, d=1):
 
     z holds the strata of E_j's contribution (see zmot_contribution),
     every one containing j.  Works in the realization ring with
-    denominator d * N_j.  Every factor with i != j collapses to
-    (L-1)/(L^alpha_i - 1); the j-factor leaves (L-1) L^(v_j) behind,
-    and the whole sum carries L^-(n+1).
+    denominator d * N_j, d a positive int.  Every factor with i != j
+    collapses to (L-1)/(L^alpha_i - 1); the j-factor leaves
+    (L-1) L^(v_j) behind, and the whole sum carries L^-(n+1).
     """
+    if not _is_int(d) or d < 1:
+        raise DataError(f"d must be a positive integer, got {d!r}")
     if not any(j in ids for ids, _ in z.strata):
         raise DataError(f"component {j!r} does not appear in the terms")
     nj, vj = z.numerical[j]

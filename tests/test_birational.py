@@ -17,9 +17,9 @@ from pvcalc.models import (candidate_centers, case_c_resolved,
                            hirzebruch_case_b, random_config)
 from pvcalc.motring import RingElem, lfactor, lpow, render
 from pvcalc.pvint import e_invariant
-from pvcalc.surface import (Config, Curve, adjunction_defect,
-                            euler_complement, is_allowed, plane, ruled,
-                            validate)
+from pvcalc.surface import (Config, Curve, _compute_findings,
+                            adjunction_defect, euler_complement, is_allowed,
+                            plane, ruled, validate)
 
 from oracles import full_delta
 
@@ -97,8 +97,10 @@ def test_fresh_id():
 
 def test_blowup_requires_valid_input():
     bad = Config(2, plane(), [Curve("C", 0, 4, F(1, 2))], [])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         blow_up(bad, free())
+    assert str(info.value) == ("refusing to blow up an invalid "
+                               "configuration:\n" + str(validate(bad)))
 
 
 # ---- bookkeeping ----------------------------------------------------------
@@ -335,3 +337,52 @@ def test_blow_up_preserves_validity(cfg):
         assert adjunction_defect(up, new_id) == 0
         assert is_allowed(up, new_id)
         assert validate(up).ok
+        assert validate(up).findings == list(_compute_findings(fresh(up)))
+
+
+# ---- the findings a blow-up stores ------------------------------------------
+
+
+def fresh(config):
+    """An equal Config with none of the derived views cached on it."""
+    return Config(d=config.d, ambient_hodge=config.ambient_hodge,
+                  curves=config.curves, points=config.points)
+
+
+def check_inherited(cfg, center):
+    """blow_up stores the findings of its output, and they are those a
+    full validation of an equal, fresh Config computes; returns it."""
+    up = blow_up(cfg, center)
+    assert "_findings" in vars(up)
+    assert validate(up).findings == list(_compute_findings(fresh(up)))
+    return up
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_configs(), st.lists(st.integers(0, 10 ** 6), max_size=4))
+def test_blow_up_findings_match_full_validation(cfg, picks):
+    """Along a chain of blow-ups, each step's output blown up again,
+    every candidate center and free() give the full findings."""
+    for pick in [0] + picks:
+        ups = [check_inherited(cfg, center)
+               for center in candidate_centers(cfg) + [free()]]
+        cfg = ups[pick % len(ups)]
+
+
+def test_blow_up_findings_cases():
+    empty = Config(1, plane(), [], [])
+    up = check_inherited(empty, free())
+    assert [str(f) for f in validate(up).findings] == [
+        "info chi: euler characteristic of the open complement: 2",
+        "info connectivity: divisor is connected"]
+    up = check_inherited(conic(), free())
+    assert str(validate(up).findings[-1]) == (
+        "info connectivity: divisor is disconnected")
+    up = check_inherited(opposite_crossing(), at_point("C1", "F1"))
+    assert up.curve("E1").alpha == 0
+    unit_fibre = hirzebruch_case_b(0, F(0), [F(-1), F(1)], 1)
+    assert unit_fibre.curve("F1").alpha == -1
+    up = check_inherited(unit_fibre, on_curve("F1"))
+    assert up.curve("E1").alpha == 0
+    up = check_inherited(double_point(), at_point("C", "T", 1))
+    assert up.intersection("C", "T") == 1

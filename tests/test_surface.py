@@ -146,6 +146,9 @@ def check_strata(cfg):
         [()] + [(c.id,) for c in cfg.curves] + list(cfg.pair_counts))
     for ids, h in walk:
         assert h == stratum_class(cfg, ids)
+    # both read points_per_curve; points_on counts each curve's own points
+    for c in cfg.curves:
+        assert cfg.points_per_curve[c.id] == len(cfg.points_on(c.id))
 
 
 def test_stratum_partition_is_exhaustive():

@@ -239,6 +239,26 @@ def test_substitution_guards():
         residue_via_substitution(pole, "Ej")
 
 
+@pytest.mark.parametrize("data, message", [
+    ((2.0, 1), "component Ej: N must be a positive integer"),
+    ((0, 1), "component Ej: N must be a positive integer"),
+    ((2, 0), "component Ej: v must be a positive integer"),
+    ((2, True), "component Ej: v must be a positive integer"),
+    ([2, 1], r"component Ej: numerical data must be a pair \(N, v\)"),
+    ((2, 1, 0), r"component Ej: numerical data must be a pair \(N, v\)"),
+])
+def test_numerical_data_checked(data, message):
+    with pytest.raises(DataError, match=message):
+        ZMotDatum(2, ((("Ej",), HodgePoly.one()),), {"Ej": data})
+
+
+@pytest.mark.parametrize("d", [1.5, 0, -2, True])
+def test_substitution_needs_positive_int_d(d):
+    z = ZMotDatum(2, ((("Ej",), HodgePoly.one()),), {"Ej": (2, 1)})
+    with pytest.raises(DataError, match="d must be a positive integer"):
+        residue_via_substitution(z, "Ej", d=d)
+
+
 def reference_residue_via_substitution(z, j, d=1):
     """residue_via_substitution as first written: every term built by
     its own products, each exponent in Fraction arithmetic, no caches."""
