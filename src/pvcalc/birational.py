@@ -18,6 +18,7 @@ and its points, and the alpha = 0 terms of the curves through the
 center change, so only their terms are summed.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import CenterError, ContractionError, ValidationError
@@ -94,7 +95,9 @@ def _check_center(config, center):
     if center.b not in config.curve_map:
         raise CenterError(f"no curve with id {center.b!r}")
     pt = (center.a, center.b, center.index)
-    if pt not in config.points:
+    pts = config.points         # sorted, so a lookup need not scan it
+    at = bisect_left(pts, pt)
+    if at == len(pts) or pts[at] != pt:
         raise CenterError(f"no intersection point {pt!r}")
     return (center.a, center.b)
 
@@ -185,10 +188,10 @@ def blow_down(config, curve_id):
         raise ContractionError(
             f"{curve_id} has self-intersection {c.self_int}, not -1")
     nbs = config.neighbors[curve_id]
-    pts = config.points_on(curve_id)
-    if len(pts) > 2 or len(pts) != len(nbs):
+    npts = config.points_per_curve[curve_id]
+    if npts > 2 or npts != len(nbs):
         raise ContractionError(
-            f"{curve_id} meets other curves in {len(pts)} points, "
+            f"{curve_id} meets other curves in {npts} points, "
             "at most two simple crossings are contractible")
     expect = sum((config.curve(i).alpha for i in nbs), 0) + 2 - len(nbs)
     if c.alpha != expect:
@@ -245,7 +248,7 @@ def _zero_curve_pattern(config, i):
 
 def exceptional_alphas(config, center):
     """The (a, -a) pair driving a nonzero invariant change, or None."""
-    touched = _check_center(config, center)
+    _check_center(config, center)
     if center.kind == "curve":
         return _zero_curve_pattern(config, center.a)
     if center.kind == "point":

@@ -61,6 +61,12 @@ __all__ = [
 ]
 
 
+def _is_int(x):
+    """True for an int.  bool subclasses int but is never a valid count,
+    index, exponent or coefficient here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # ---------------------------------------------------------------------------
 # Hodge polynomials
 
@@ -68,10 +74,11 @@ __all__ = [
 class HodgePoly:
     """Polynomial in the Hodge variables u, v with int coefficients.
 
-    INPUT: a dict {(eu, ev): coeff} with nonnegative exponents, or
-    nothing for zero.  Zero coefficients are dropped; the other terms
-    keep the dict's order.  Instances are immutable by convention; all
-    operations return new objects.
+    INPUT: a dict {(eu, ev): coeff} with nonnegative int exponents and
+    int coefficients, or nothing for zero; anything else is a
+    ValueError.  Zero coefficients are dropped; the other terms keep the
+    dict's order.  Instances are immutable by convention; all operations
+    return new objects.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -79,10 +86,15 @@ class HodgePoly:
     def __init__(self, terms=None):
         data = {}
         for (eu, ev), coeff in (terms or {}).items():
+            # exactly int, so bool is refused too; a type test is the
+            # cheapest check, and _term builds a class per new stratum
+            if not (type(eu) is type(ev) is type(coeff) is int):
+                raise ValueError(f"Hodge term ({eu!r}, {ev!r}): {coeff!r} "
+                                 "needs int exponents and an int coefficient")
             if coeff:
                 if eu < 0 or ev < 0:
                     raise ValueError("negative exponent in Hodge polynomial")
-                data[(int(eu), int(ev))] = coeff
+                data[(eu, ev)] = coeff
         self._terms = data
         self._hash = None
 
@@ -96,7 +108,7 @@ class HodgePoly:
 
     @classmethod
     def scalar(cls, n):
-        return cls({(0, 0): int(n)})
+        return cls({(0, 0): n})
 
     def items(self):
         return self._terms.items()
@@ -108,7 +120,7 @@ class HodgePoly:
         return bool(self._terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if _is_int(other):
             other = HodgePoly.scalar(other)
         if not isinstance(other, HodgePoly):
             return NotImplemented
@@ -189,11 +201,6 @@ class HodgePoly:
     def euler(self):
         """Evaluation at u = v = 1 (the topological Euler number)."""
         return sum(self._terms.values())
-
-    def is_symmetric(self):
-        return all(
-            self._terms.get((b, a), 0) == c for (a, b), c in self._terms.items()
-        )
 
     def __str__(self):
         if not self._terms:
@@ -727,7 +734,7 @@ def numeric_eval(x, q):
     denominator factor vanishes (m >= 2), so the vector is evaluated
     there and a single rational comes back ([value]).
     """
-    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
+    if not _is_int(q) or q < 2:
         raise ValueError("q must be an integer >= 2")
     d = x.d
     # u^t w^c -> q^(t+ + c // d) x^(c % d)

@@ -20,19 +20,7 @@ from math import lcm
 import re
 
 from .errors import ConfigError, SchemaError
-from .motring import HodgePoly
-
-
-def _is_int(x):
-    """True for an int.  bool subclasses int but is never a valid count,
-    index or exponent here."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _as_int(x, what):
-    if not _is_int(x):
-        raise ConfigError(f"{what} must be an integer, got {x!r}")
-    return x
+from .motring import HodgePoly, _is_int
 
 
 _RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
@@ -101,10 +89,10 @@ class Config:
             raise ConfigError("denominator context d must be a positive integer")
         if not isinstance(self.ambient_hodge, HodgePoly):
             raise ConfigError("ambient_hodge must be a HodgePoly")
-        curves = tuple(sorted(self.curves, key=lambda c: c.id))
-        for c in curves:
+        for c in self.curves:
             if not isinstance(c, Curve):
                 raise ConfigError("curves must be Curve instances")
+        curves = tuple(sorted(self.curves, key=lambda c: c.id))
         ids = [c.id for c in curves]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate curve ids")
@@ -124,6 +112,8 @@ class Config:
 
     @staticmethod
     def _read_point(p):
+        if not isinstance(p, (list, tuple)):
+            raise ConfigError(f"point {p!r} must be a list of curve ids")
         if len(p) == 2:
             a, b = p
             k = 0
@@ -199,8 +189,8 @@ class Config:
 
 def curve_class(genus):
     """Hodge polynomial of a smooth projective curve of the given genus."""
-    if genus < 0:
-        raise ConfigError("genus must be nonnegative")
+    if not _is_int(genus) or genus < 0:
+        raise ConfigError(f"genus must be a nonnegative integer, got {genus!r}")
     return HodgePoly({(1, 1): 1, (1, 0): -genus, (0, 1): -genus, (0, 0): 1})
 
 
@@ -502,18 +492,19 @@ def _ambient_from_json(obj):
     if kind == "plane":
         h = plane()
     elif kind == "ruled":
-        h = ruled(_as_int(obj.get("genus", 0), "ambient genus"))
+        h = ruled(obj.get("genus", 0))
     elif kind == "custom":
-        h = HodgePoly({(_as_int(eu, "ambient term exponent"),
-                        _as_int(ev, "ambient term exponent")):
-                       _as_int(c, "ambient term coefficient")
-                       for eu, ev, c in obj["terms"]})
-        return h
+        terms = {}
+        for eu, ev, c in obj["terms"]:
+            if (eu, ev) in terms:
+                raise ConfigError(f"ambient term ({eu}, {ev}) is repeated")
+            terms[(eu, ev)] = c
+        h = HodgePoly(terms)
     else:
         raise ConfigError(f"unknown ambient kind {kind!r}")
-    b = _as_int(obj.get("blowups", 0), "blowups")
-    if b < 0:
-        raise ConfigError("blowups must be nonnegative")
+    b = obj.get("blowups", 0)
+    if not _is_int(b) or b < 0:
+        raise ConfigError(f"blowups must be a nonnegative integer, got {b!r}")
     return h + HodgePoly({(1, 1): b})
 
 
@@ -539,8 +530,10 @@ def dump_config(config):
 def load_config(obj, default_d=None):
     """Build a Config from plain data (inverse of dump_config).
 
-    Structural problems raise SchemaError so that callers reading user
-    files can map them to an input failure uniformly.
+    Only keys are mapped here: Curve, Config and HodgePoly check the
+    values they hold.  Structural problems raise SchemaError so that
+    callers reading user files can map them to an input failure
+    uniformly.
     """
     try:
         if not isinstance(obj, dict):
@@ -551,22 +544,13 @@ def load_config(obj, default_d=None):
             d = default_d
         else:
             raise ConfigError("missing denominator context d")
-        _as_int(d, "d")
         ambient = _ambient_from_json(obj.get("ambient", {"kind": "plane"}))
-        curves = []
-        for c in obj.get("curves", ()):
-            curves.append(Curve(
-                id=c["id"],
-                genus=_as_int(c.get("genus", 0), "genus"),
-                self_int=_as_int(c["self_int"], "self_int"),
-                alpha=_as_fraction(c["alpha"]),
-                count_trace=_as_int(c.get("count_trace", 0), "count_trace"),
-            ))
-        points = []
-        for p in obj.get("points", ()):
-            points.append(tuple(p))
-        return Config(d=d, ambient_hodge=ambient,
-                      curves=tuple(curves), points=tuple(points))
+        curves = [Curve(id=c["id"], genus=c.get("genus", 0),
+                        self_int=c["self_int"], alpha=c["alpha"],
+                        count_trace=c.get("count_trace", 0))
+                  for c in obj.get("curves", ())]
+        return Config(d=d, ambient_hodge=ambient, curves=curves,
+                      points=obj.get("points", ()))
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad configuration data: {exc}") from exc
 

@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError, DataError, GenericityError, SchemaError
-from .motring import HodgePoly, from_int, lpow, ring_sum
+from .motring import HodgePoly, _is_int, from_int, lpow, ring_sum
 from .pvint import _term, invariant_sum
 from .surface import (Config, Curve, Report, _ambient_from_json,
-                      _ambient_to_json, _as_int, _is_int, _read_json,
-                      _write_json, euler_complement, is_connected, strata,
-                      validate)
+                      _ambient_to_json, _read_json, _write_json,
+                      euler_complement, is_connected, strata, validate)
 
 CREATIONS = ("point", "rational_curve", "nonrational_curve")
 
@@ -79,17 +78,26 @@ class SurfaceResolutionDatum:
             raise DataError("N_j must be a positive integer")
         if not _is_int(self.vj) or self.vj < 1:
             raise DataError("v_j must be a positive integer")
+        if not isinstance(self.surface_hodge, HodgePoly):
+            raise DataError("surface_hodge must be a HodgePoly")
         if self.creation not in CREATIONS:
             raise DataError(f"creation must be one of {CREATIONS}")
+        if not _is_int(self.creation_genus):
+            raise DataError("creation_genus must be an integer")
         if self.creation == "nonrational_curve" and self.creation_genus < 1:
             raise DataError("nonrational creation needs creation_genus >= 1")
         comps = tuple(self.components)
+        for c in comps:
+            if not isinstance(c, ResolutionComponent):
+                raise DataError("components must be ResolutionComponent instances")
         ids = [c.id for c in comps]
         if len(set(ids)) != len(ids):
             raise DataError("duplicate component ids")
         idset = set(ids)
         pts = []
         for p in self.points:
+            if not isinstance(p, (list, tuple)) or len(p) != 2:
+                raise DataError(f"point {p!r} must be a pair of component ids")
             a, b = p
             if a not in idset or b not in idset or a == b:
                 raise DataError(f"bad intersection pair {p!r}")
@@ -329,26 +337,18 @@ def load_datum(obj):
     try:
         if not isinstance(obj, dict):
             raise ConfigError("resolution datum must be an object")
-        comps = tuple(
-            ResolutionComponent(
-                id=c["id"],
-                genus=_as_int(c.get("genus", 0), "genus"),
-                self_int=_as_int(c["self"], "self"),
-                N=_as_int(c["N"], "N"),
-                v=_as_int(c["v"], "v"),
-                trace=_as_int(c.get("trace", 0), "trace"),
-            )
-            for c in obj.get("components", ())
-        )
+        comps = [ResolutionComponent(id=c["id"], genus=c.get("genus", 0),
+                                     self_int=c["self"], N=c["N"], v=c["v"],
+                                     trace=c.get("trace", 0))
+                 for c in obj.get("components", ())]
         return SurfaceResolutionDatum(
-            nj=_as_int(obj["nj"], "nj"),
-            vj=_as_int(obj["vj"], "vj"),
+            nj=obj["nj"],
+            vj=obj["vj"],
             surface_hodge=_ambient_from_json(obj.get("surface", {"kind": "plane"})),
             creation=obj.get("creation", "point"),
             components=comps,
-            points=tuple(tuple(p) for p in obj.get("points", ())),
-            creation_genus=_as_int(obj.get("creation_genus", 0),
-                                   "creation_genus"),
+            points=obj.get("points", ()),
+            creation_genus=obj.get("creation_genus", 0),
         )
     except (ConfigError, DataError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad resolution datum: {exc}") from exc

@@ -86,6 +86,18 @@ def test_center_validation_against_config():
         blow_up(cfg, at_point("C1", "F1", 1))       # only index 0 exists
     with pytest.raises(CenterError):
         blow_up(cfg, on_curve("C1", new_id="F2"))   # id collision
+    # the point is looked up in the sorted points; the pair (C, T) has
+    # points 0 and 2, so index 1 falls between them and 3 after them
+    gap = Config(2, plane(), double_point().curves,
+                 [("C", "T", 0), ("T", "C", 2)])
+    for index in (1, 3):
+        with pytest.raises(CenterError, match="no intersection point"):
+            blow_up(gap, at_point("C", "T", index))
+        with pytest.raises(CenterError, match="no intersection point"):
+            exceptional_alphas(gap, at_point("C", "T", index))
+    for index in (0, 2):
+        assert ("C", "T", index) not in blow_up(
+            gap, at_point("T", "C", index)).points
 
 
 def test_fresh_id():

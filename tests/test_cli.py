@@ -416,8 +416,13 @@ def test_malformed_json(tmp_path, capsys):
     lambda o: o["curves"][0].__setitem__("alpha", "0.5"),
     # Fraction would expand this exponent for a very long time
     lambda o: o["curves"][0].__setitem__("alpha", "1e100000000"),
+    # the last (1, 1) coefficient used to win
+    lambda o: o.__setitem__("ambient", {
+        "kind": "custom", "terms": [[2, 2, 1], [1, 1, 1], [1, 1, 5],
+                                    [0, 0, 1]]}),
 ], ids=["ambient-list", "d-bool", "genus-bool", "self_int-bool",
-        "index-bool", "alpha-exponent", "alpha-decimal", "alpha-huge"])
+        "index-bool", "alpha-exponent", "alpha-decimal", "alpha-huge",
+        "custom-repeated"])
 def test_config_schema_exit_code(pattern_file, tmp_path, capsys, mutate):
     assert main(["compute", pattern_file]) == 0
     with open(pattern_file) as fh:
@@ -427,6 +432,38 @@ def test_config_schema_exit_code(pattern_file, tmp_path, capsys, mutate):
     path.write_text(json.dumps(obj))
     assert main(["compute", str(path)]) == 2
     assert "bad configuration data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [
+    ["CF", ["C", "G"]],
+    [["C", "F"], {"C": 0, "G": 1}],
+], ids=["string", "object"])
+def test_points_must_be_lists(tmp_path, capsys, points):
+    # C is a section of P^1 x P^1 and F, G are fibres; with one-letter
+    # ids a string or a two-key object used to read as a point
+    obj = {"d": 2, "ambient": {"kind": "ruled"},
+           "curves": [{"id": "C", "self_int": 0, "alpha": "-1"},
+                      {"id": "F", "self_int": 0, "alpha": "1/2"},
+                      {"id": "G", "self_int": 0, "alpha": "-1/2"}],
+           "points": [["C", "F"], ["C", "G"]]}
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(obj))
+    assert main(["compute", str(path)]) == 0
+    obj["points"] = points
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    for command in ("validate", "compute"):
+        assert main([command, str(path)]) == 2
+        assert "must be a list of curve ids" in capsys.readouterr().err
+
+
+def test_custom_ambient_blowups(tmp_path, capsys):
+    obj = {"d": 1, "ambient": {"kind": "custom", "blowups": 3,
+                               "terms": [[2, 2, 1], [1, 1, 1], [0, 0, 1]]}}
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(obj))
+    assert main(["compute", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("w^2 + 4*w + 1  [w = L]\n")
 
 
 @pytest.mark.parametrize("mutate", [

@@ -31,11 +31,23 @@ def test_hodge_basics():
     p = HodgePoly({(2, 2): 1, (1, 1): 1, (0, 0): 1})   # the plane
     assert p.euler() == 3
     assert p.evaluate(2, 3) == 36 + 6 + 1
-    assert p.is_symmetric()
     c = HodgePoly({(1, 1): 1, (1, 0): -2, (0, 1): -2, (0, 0): 1})
     assert c.euler() == -2
-    assert c.is_symmetric()
-    assert not HodgePoly({(1, 0): 1}).is_symmetric()
+    with pytest.raises(ValueError):
+        HodgePoly.scalar(0.5)       # int() read this as 0
+    assert HodgePoly.one() == 1 and HodgePoly.one() != True
+
+
+@pytest.mark.parametrize("terms", [
+    {(1.5, 0): 1}, {(0, 1.0): 1}, {(True, 0): 1}, {(0, False): 1},
+    {(0, 0): 1.5, (1, 1): 1}, {(0, 0): 0.0}, {(1, 1): True}, {(0, 0): "1"},
+], ids=["float-eu", "float-ev", "bool-eu", "bool-ev", "float-coeff",
+        "float-zero", "bool-coeff", "str-coeff"])
+def test_hodge_terms_must_be_ints(terms):
+    # before, a float coefficient put a float in the ring and int()
+    # truncated a float exponent or read True as 1
+    with pytest.raises(ValueError, match="int exponents"):
+        HodgePoly(terms)
 
 
 def test_hodge_arithmetic_and_hash():

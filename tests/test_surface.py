@@ -68,6 +68,12 @@ def test_config_structural_checks():
     with pytest.raises(ConfigError):
         Config(2, plane(), [Curve("A", 0, 0, 1), Curve("B", 0, 0, 1)],
                [("A", "B", -1)])
+    with pytest.raises(ConfigError, match="Curve instances"):
+        Config(1, plane(), curves=(1,))             # was an AttributeError
+    for point in ("AB", {"A": 0, "B": 1}):
+        with pytest.raises(ConfigError, match="must be a list of curve ids"):
+            Config(2, plane(), [Curve("A", 0, 0, 1), Curve("B", 0, 0, 1)],
+                   [point])
 
 
 def test_points_are_canonicalized():
@@ -104,6 +110,9 @@ def test_ambient_builders():
     assert ruled(1).euler() == 0
     assert curve_class(0).euler() == 2
     assert curve_class(2).euler() == -2
+    for genus in (0.5, True, "1", -1):
+        with pytest.raises(ConfigError, match="nonnegative integer"):
+            curve_class(genus)
 
 
 def test_euler_complement_examples():
@@ -468,6 +477,9 @@ def test_json_custom_ambient():
     obj = dump_config(cfg)
     assert obj["ambient"]["kind"] == "custom"
     assert load_config(obj) == cfg
+    # custom takes blowups like plane and ruled (they were dropped)
+    obj["ambient"]["blowups"] = 3
+    assert load_config(obj).ambient_hodge == h + 3 * HodgePoly({(1, 1): 1})
 
 
 def test_json_default_d():
@@ -488,11 +500,37 @@ def test_json_schema_errors():
         lambda o: o.__setitem__("points", [["L1", "missing"]]),
         lambda o: o.__setitem__("ambient", {"kind": "klein"}),
         lambda o: o.__setitem__("d", "two"),
+        # the last (1, 1) coefficient used to win
+        lambda o: o.__setitem__("ambient", {
+            "kind": "custom",
+            "terms": [[2, 2, 1], [1, 1, 1], [1, 1, 5], [0, 0, 1]]}),
+        lambda o: o.__setitem__("ambient", {
+            "kind": "custom", "terms": [[1, 1, 1.5]]}),
+        lambda o: o.__setitem__("ambient", {
+            "kind": "ruled", "genus": 0.5}),
     ):
         obj = json.loads(json.dumps(good))
         mutate(obj)
         with pytest.raises(SchemaError):
             load_config(obj)
+
+
+def points_config(points):
+    """A section C of P^1 x P^1 meeting the fibres F and G once each."""
+    return {"d": 2, "ambient": {"kind": "ruled"},
+            "curves": [{"id": "C", "self_int": 0, "alpha": "-1"},
+                       {"id": "F", "self_int": 0, "alpha": "1/2"},
+                       {"id": "G", "self_int": 0, "alpha": "-1/2"}],
+            "points": points}
+
+
+def test_json_points_must_be_lists():
+    cfg = load_config(points_config([["C", "F"], ["C", "G", 0]]))
+    assert cfg.points == (("C", "F", 0), ("C", "G", 0))
+    # with one-letter ids these used to read as the points (C, F), (C, G)
+    for points in (["CF", ["C", "G"]], [["C", "F"], {"C": 0, "G": 1}]):
+        with pytest.raises(SchemaError, match="must be a list of curve ids"):
+            load_config(points_config(points))
 
 
 def test_alpha_literals():

@@ -86,6 +86,15 @@ def test_structural_checks():
             1, 1, PLANE, "point",
             components=(ResolutionComponent("A", 0, 0, 1, 1),),
             points=(("A", "nope"),))
+    with pytest.raises(DataError, match="surface_hodge"):
+        SurfaceResolutionDatum(2, 1, "plane", "point")
+    with pytest.raises(DataError, match="ResolutionComponent"):
+        SurfaceResolutionDatum(2, 1, PLANE, "point", components=(1,))
+    with pytest.raises(DataError, match="creation_genus"):
+        SurfaceResolutionDatum(2, 1, PLANE, "nonrational_curve",
+                               creation_genus="x")
+    with pytest.raises(DataError, match="creation_genus"):
+        SurfaceResolutionDatum(2, 1, PLANE, "point", creation_genus=1.0)
 
 
 def test_build_config():
@@ -469,6 +478,20 @@ def test_read_datum_malformed_json(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(SchemaError, match="malformed JSON"):
         read_datum(path)
+
+
+def test_datum_points_must_be_pairs():
+    obj = dump_datum(SurfaceResolutionDatum(
+        nj=2, vj=1, surface_hodge=PLANE, creation="point",
+        components=(ResolutionComponent("A", 0, 1, 1, 1),
+                    ResolutionComponent("B", 0, 1, 1, 1)),
+        points=(("A", "B"),)))
+    assert load_datum(obj).points == (("A", "B"),)
+    # with one-letter ids, "AB" used to read as the pair (A, B)
+    for point in ("AB", {"A": 0, "B": 1}, ["A", "B", 0]):
+        obj["points"] = [point]
+        with pytest.raises(SchemaError, match="must be a pair of component"):
+            load_datum(obj)
 
 
 def test_datum_json_extras():
