@@ -5,10 +5,10 @@ Sweep: random_config(s, max_blowups=10) for s in 0..39, every candidate
 center plus free(); one pass computes every delta, on fresh Config
 objects and after clearing the caches; best of 3 passes.
 
-Chain: random_config(3) blown up 160 times at non-exceptional on-divisor
-centers drawn with random.Random(1); at 40, 80 and 160 blow-ups, the
-first 10 candidate centers, each delta timed on its own with the caches
-cleared before it (best of 3).
+Chain: random_config(3) blown up 640 times at non-exceptional on-divisor
+centers drawn with random.Random(1); at 40, 80, 160, 320 and 640
+blow-ups, the first 10 candidate centers, each delta timed on its own
+with the caches cleared before it (best of 3).
 
 Every local delta is checked to equal the full one.
 
@@ -32,7 +32,7 @@ from pvcalc.models import candidate_centers, random_config
 from pvcalc.pvint import e_invariant
 
 SWEEP_SEEDS = range(40)
-CHECKPOINTS = (40, 80, 160)
+CHECKPOINTS = (40, 80, 160, 320, 640)
 CHAIN_CENTERS = 10
 REPEAT = 3
 

@@ -15,17 +15,20 @@ both.  For that pattern the change is the explicit nonzero element
 invariance_delta computes that change locally, as the paper states it:
 only the open stratum, the strata through the center, the new curve E
 and its points, and the alpha = 0 terms of the curves through the
-center change, so only their terms are summed.
+center change, so only their terms are summed.  It reads them from the
+configuration and the blow-up rule and builds no blown-up
+configuration; it checks its input with the same preconditions as
+blow_up, in the same order.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import CenterError, ContractionError, ValidationError
-from .motring import HodgePoly, from_int, lfactor, lpow, ring_sum
-from .pvint import require_valid, stratum_terms
-from .surface import (Config, Curve, _inherit_findings, stratum_class,
-                      validate)
+from .motring import HodgePoly, _is_int, from_int, lfactor, lpow, ring_sum
+from .pvint import curve_data, stratum_terms
+from .surface import (Config, Curve, _curve_stratum, _inherit_findings,
+                      _point_class, validate)
 
 _UV = HodgePoly({(1, 1): 1})
 
@@ -57,7 +60,7 @@ class BlowupCenter:
                 a, b = self.a, self.b
                 object.__setattr__(self, "a", b)
                 object.__setattr__(self, "b", a)
-            if not isinstance(self.index, int) or self.index < 0:
+            if not _is_int(self.index) or self.index < 0:
                 raise CenterError("point index must be a nonnegative integer")
         elif self.kind == "curve" and not self.a:
             raise CenterError("curve center needs a curve id")
@@ -112,6 +115,28 @@ def _next_index(config, a, b):
     return k
 
 
+def _blow_up_preconditions(config, center):
+    """Check that config can be blown up at center, as blow_up and
+    invariance_delta both need; returns (touched, e).
+
+    config must pass validation and center must lie on it; the id of
+    the new curve, given or fresh, must be unused and a curve id.
+    touched holds the curves through the center, in id order, and e is
+    the exceptional curve: genus 0, self-intersection -1 and alpha_E by
+    the sum rule.
+    """
+    rep = validate(config)
+    if not rep.ok:
+        raise ValidationError("refusing to blow up an invalid configuration:\n"
+                              + str(rep), rep)
+    touched = _check_center(config, center)
+    new_id = center.new_id or fresh_id(config)
+    if new_id in config.curve_map:
+        raise CenterError(f"id {new_id!r} is already in use")
+    alpha = sum((config.curve(i).alpha for i in touched), 0) + 2 - len(touched)
+    return touched, Curve(new_id, 0, -1, alpha)
+
+
 def blow_up(config, center):
     """Blow up one point; returns the transformed configuration.
 
@@ -144,28 +169,19 @@ def blow_up(config, center):
       branch to have alpha 0 too, a log pair config would already have.
     Curves away from T keep their neighbours and self-intersections.
     """
-    rep = validate(config)
-    if not rep.ok:
-        raise ValidationError("refusing to blow up an invalid configuration:\n"
-                              + str(rep), rep)
-    touched = _check_center(config, center)
-    new_id = center.new_id or fresh_id(config)
-    if new_id in config.curve_map:
-        raise CenterError(f"id {new_id!r} is already in use")
-
-    alpha = sum((config.curve(i).alpha for i in touched), 0) + 2 - len(touched)
+    touched, e = _blow_up_preconditions(config, center)
     curves = []
     for c in config.curves:
         if c.id in touched:
             c = Curve(c.id, c.genus, c.self_int - 1, c.alpha, c.count_trace)
         curves.append(c)
-    curves.append(Curve(new_id, 0, -1, alpha))
+    curves.append(e)
 
     points = [p for p in config.points
               if not (center.kind == "point"
                       and p == (center.a, center.b, center.index))]
     for i in touched:
-        points.append((i, new_id, 0))
+        points.append((i, e.id, 0))
 
     after = Config(d=config.d, ambient_hodge=config.ambient_hodge + _UV,
                    curves=tuple(curves), points=tuple(points))
@@ -273,45 +289,57 @@ def invariance_delta(config, center):
     Zero except for exceptional centers, where it equals
     lfactor(a) * lfactor(-a) + L for the pattern exponents (a, -a).
 
-    config is validated, and the blown-up configuration inherits its
-    validation from blow_up, which stores its findings.  Neither
-    invariant is summed: the delta is one ring_sum of after-minus-before
-    terms over the strata the blow-up changes.  With T the curves through the center
-    and E the exceptional curve, these are
+    config and center pass the checks blow_up makes, in its order and
+    with its errors, but no blown-up configuration is built: blow_up's
+    docstring shows that one would pass validation.  Neither invariant
+    is summed: the delta is one ring_sum of after-minus-before terms
+    over the strata the blow-up changes, each read from config and the
+    blow-up rule.  With T the curves through the center and E the
+    exceptional curve, these are
     - the open stratum: its class gains uv - [P^1] = -1 plus the points
       added minus the point removed;
     - the stratum of the center itself: a curve of a curve center gains
       a point, the pair of a point center loses one;
     - E minus its |T| points, and each new pair (i, E) of one point;
-    - the alpha = 0 term of each curve of T and of E, since their
-      self-intersections and neighbors change.
+    - the alpha = 0 term of each curve of T and of E: a curve of T
+      loses 1 from its self-intersection and gains E as a neighbor, and
+      at a point center whose pair met once, the two branches no longer
+      meet; E has self-intersection -1 and the curves of T as neighbors.
     pvint.stratum_terms builds these terms, as it builds invariant_sum's,
     so a stratum counts only when all its curves have alpha != 0.  The
-    ring arithmetic thus follows the number of curves through the
-    center, not the size of the configuration.
+    work thus follows the number of curves through the center, not the
+    size of the configuration.
     """
-    after = blow_up(config, center)
-    require_valid(after)
-    return _local_delta(config, after, center)
-
-
-def _local_delta(config, after, center):
-    """invariance_delta from config, its blow-up after at center, both
-    validated by the caller, and the center, checked by blow_up."""
+    touched, e = _blow_up_preconditions(config, center)
     d = config.d
-    touched = _check_center(config, center)
-    new_id = center.new_id or fresh_id(config)
+    cm = config.curve_map
+    alphas = tuple(cm[i].alpha for i in touched)
+    before, after, parted = [], [], set()
+    if center.kind == "point":
+        n = config.pair_counts[touched]
+        before.append((alphas, _point_class(n)))
+        after.append((alphas, _point_class(n - 1)))
+        if n == 1:      # the pair's only point: the branches stop meeting
+            parted = set(touched)
+    elif center.kind == "curve":
+        c = cm[center.a]
+        n = config.points_per_curve[c.id]
+        before.append((alphas, _curve_stratum(c.genus, n)))
+        after.append((alphas, _curve_stratum(c.genus, n + 1)))
+    old = stratum_terms(before, curve_data(config, touched), d)
 
-    def terms(cfg, strata, curves):
-        return stratum_terms(cfg, [(ids, stratum_class(cfg, ids))
-                                   for ids in strata],
-                             [cfg.curve(i) for i in curves])
+    def alpha(i):
+        return e.alpha if i == e.id else cm[i].alpha
 
-    at_center = [touched] if touched else []
-    old = terms(config, at_center, touched)
-    new = terms(after, at_center + [(new_id,)]
-                + [tuple(sorted((i, new_id))) for i in touched],
-                touched + (new_id,))
+    after.append(((e.alpha,), _curve_stratum(0, len(touched))))
+    after += [(tuple(alpha(j) for j in sorted((i, e.id))), _point_class(1))
+              for i in touched]
+    curves = [(cm[i].alpha, cm[i].self_int - 1,
+               [alpha(j) for j in sorted(
+                   set(config.neighbors[i]) - parted | {e.id})])
+              for i in touched]
+    curves.append((e.alpha, -1, alphas))
+    new = stratum_terms(after, curves, d)
     open_delta = from_int(len(touched) - (center.kind == "point") - 1, d)
     return ring_sum([open_delta] + new + [-t for t in old], d)
 

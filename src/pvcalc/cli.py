@@ -14,7 +14,7 @@ import os
 import re
 import sys
 
-from .birational import (_local_delta, at_point, blow_down, blow_up, free,
+from .birational import (at_point, blow_down, blow_up, free, invariance_delta,
                          inverse_center, is_exceptional_center, on_curve)
 from .errors import InputError, PvError
 from .models import (case_c_resolved, conic_pipeline_demo, hirzebruch_case_a,
@@ -30,10 +30,13 @@ def _default_d():
     raw = os.environ.get("PVCALC_D")
     if raw is None:
         return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"PVCALC_D must be an integer, got {raw!r}") from None
+    # int() also reads "+2", " 2 " and "1_0"; only plain digits are meant
+    if re.fullmatch("[0-9]+", raw):
+        try:
+            return int(raw)
+        except ValueError:          # past int()'s digit limit
+            pass
+    raise InputError(f"PVCALC_D must be an integer, got {raw!r}")
 
 
 def _read_config(path):
@@ -123,7 +126,7 @@ def cmd_blowup(args):
     # checked as e_invariant(result) would be; blow_up validated cfg and
     # stored result's findings, so this reads them
     require_valid(result)
-    delta = _local_delta(cfg, result, center)
+    delta = invariance_delta(cfg, center)
     print(f"delta = {render(delta)}  [{legend(cfg.d)}]")
     if exceptional:
         print("warning: exceptional situation "
@@ -141,7 +144,7 @@ def cmd_blowdown(args):
     # that of the blow-up, negated
     require_valid(result)
     require_valid(cfg)
-    delta = -_local_delta(result, cfg, undo)
+    delta = -invariance_delta(result, undo)
     print(f"delta = {render(delta)}  [{legend(cfg.d)}]")
     if is_exceptional_center(result, undo):
         print("warning: exceptional situation "

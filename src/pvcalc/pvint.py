@@ -12,7 +12,10 @@ stratum_terms is the one builder of these terms: invariant_sum applies
 it to every stratum and curve, birational.invariance_delta to the
 strata and curves a blow-up changes, before and after it.  It alone
 decides which strata count; motring._as_exponent is the one conversion
-of an alpha to its integer exponent alpha*d.
+of an alpha to its integer exponent alpha*d.  It takes plain data, a
+stratum as its alphas and class and a curve as its alpha,
+self-intersection and neighbor alphas, so that the after side of a
+blow-up is summed without building the blown-up configuration.
 """
 
 from functools import lru_cache
@@ -39,36 +42,47 @@ def invariant_sum(config):
     Config twice in a row (residue_contribution, then pole_report),
     while an unbounded one would keep every Config summed alive.
     """
-    return ring_sum(stratum_terms(config, strata(config), config.curves),
-                    config.d)
+    cm = config.curve_map
+    return ring_sum(stratum_terms(
+        [(tuple(cm[i].alpha for i in ids), h) for ids, h in strata(config)],
+        curve_data(config, [c.id for c in config.curves]), config.d),
+        config.d)
 
 
-def stratum_terms(config, strata, curves):
-    """The terms of the given strata and curves of config, in order.
+def curve_data(config, ids):
+    """(alpha, self_int, neighbor alphas in id order) of each curve of
+    ids, as stratum_terms takes them."""
+    cm = config.curve_map
+    nb = config.neighbors
+    return [(cm[i].alpha, cm[i].self_int, [cm[j].alpha for j in nb[i]])
+            for i in ids]
 
-    strata holds (ids, class) pairs, as surface.strata yields them.  A
-    stratum counts when every curve in it has alpha != 0 (the open
-    stratum, ids == (), always does); its term is its class times
-    lfactor(alpha) for each of its curves, in order.  Then each curve of
-    curves with alpha = 0 and nonzero self-intersection gives minus its
-    self-intersection times the lfactor of each neighbor, in id order.
-    An alpha outside (1/d) Z raises ExponentError, an alpha = 0 neighbor
-    of a counted alpha = 0 curve LogPoleError, as lfactor does.
+
+def stratum_terms(strata, curves, d):
+    """The terms of the given strata and curves, in order, with
+    denominator context d.
+
+    strata holds (alphas, class) pairs: the exponents of the curves
+    through a stratum, in id order, and its class.  A stratum counts
+    when every one of its alphas is nonzero (the open stratum, with no
+    alphas, always does); its term is its class times lfactor(alpha)
+    for each alpha, in order.  curves holds (alpha, self_int, neighbor
+    alphas) triples, as curve_data gives them: each curve with alpha = 0
+    and nonzero self-intersection gives minus its self-intersection
+    times the lfactor of each neighbor alpha, in order.  An alpha
+    outside (1/d) Z raises ExponentError, an alpha = 0 neighbor of a
+    counted alpha = 0 curve LogPoleError, as lfactor does.
     """
-    d = config.d
-    counted = []
-    for ids, h in strata:
-        alphas = [config.curve(i).alpha for i in ids]
-        if all(alphas):
-            counted.append((h, tuple(_as_exponent(a, d) for a in alphas)))
+    counted = [(h, tuple(_as_exponent(a, d) for a in alphas))
+               for alphas, h in strata if all(alphas)]
     # every exponent is read before a term is built, so an alpha outside
     # (1/d) Z is reported ahead of a packed-key overflow in some term
     terms = [_term(tuple(h.items()), ms, d) for h, ms in counted]
-    for c in curves:
-        if c.alpha == 0 and c.self_int != 0:
-            t = from_int(-c.self_int, d)
-            for j in config.neighbors[c.id]:
-                t = t * lfactor(config.curve(j).alpha, d)
+    for alpha, self_int, nbs in curves:
+        if alpha == 0 and self_int != 0:
+            t = from_int(-self_int, d)
+            for a in nbs:
+                t = t * lfactor(a, d)
             terms.append(t)
     return terms
 

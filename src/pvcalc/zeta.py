@@ -148,7 +148,8 @@ def residue_contribution(datum):
 class ZMotDatum:
     """Strata classes and numerical data of an ambient resolution.
 
-    n is the ambient dimension minus one (2 for surfaces in threefolds);
+    n, a positive int, is the ambient dimension minus one (2 for
+    surfaces in threefolds);
     strata pairs a sorted id subset with the class of its open stratum;
     numerical maps each component id to its (N, v), a pair of positive
     ints, and must cover every id of strata.
@@ -159,6 +160,8 @@ class ZMotDatum:
     numerical: dict = field(hash=False)
 
     def __post_init__(self):
+        if not _is_int(self.n) or self.n < 1:
+            raise DataError(f"n must be a positive integer, got {self.n!r}")
         for i, data in self.numerical.items():
             if not (isinstance(data, tuple) and len(data) == 2):
                 raise DataError(

@@ -21,7 +21,7 @@ from pvcalc.surface import (Config, Curve, _compute_findings,
                             adjunction_defect, euler_complement, is_allowed,
                             plane, ruled, validate)
 
-from oracles import full_delta
+from oracles import chain_config, full_delta
 
 F = Fraction
 
@@ -72,8 +72,9 @@ def test_center_normalization():
         BlowupCenter("line", "A", "B")
     with pytest.raises(CenterError):
         at_point("A", "A")
-    with pytest.raises(CenterError):
-        at_point("A", "B", -1)
+    for index in (-1, True, 1.0, "1"):
+        with pytest.raises(CenterError, match="point index"):
+            at_point("A", "B", index)
 
 
 def test_center_validation_against_config():
@@ -317,6 +318,27 @@ def test_local_delta_cases_occur():
     assert double_point().intersection("C", "T") == 2
     assert pattern_config(1).curve("C1").alpha == 0
     assert case_c_resolved(F(1, 2), extra_fibres=1).curve("C").alpha == 0
+
+
+def test_local_delta_builds_no_config(monkeypatch):
+    """invariance_delta reads config and the blow-up rule; it builds no
+    blown-up Config, whose construction reads every curve and point."""
+    cases = [(cfg, center) for cfg in (pattern_config(F(1, 2)), double_point())
+             for center in candidate_centers(cfg) + [free()]]
+    chain = chain_config(40)
+    cases += [(chain, center)
+              for center in candidate_centers(chain)[::9] + [free()]]
+    built = []
+    init = Config.__post_init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(Config, "__post_init__", counting_init)
+    for cfg, center in cases:
+        invariance_delta(cfg, center)
+    assert len(built) == 0
 
 
 def test_local_delta_skips_untouched_strata():

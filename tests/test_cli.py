@@ -394,6 +394,21 @@ def test_default_d_env(tmp_path, monkeypatch, capsys):
     assert "PVCALC_D" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["1_0", " 2 ", "+2", "-2", "2.0", "", "٢",
+                                 "9" * 5000])
+def test_default_d_env_needs_plain_digits(raw, tmp_path, monkeypatch, capsys):
+    # int() reads the first four, and the Arabic-Indic digit two, as
+    # numbers; a file without "d" must not be run with such a context
+    from pvcalc.surface import dump_config
+    obj = dump_config(plane_conic())
+    del obj["d"]
+    path = tmp_path / "nod.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.setenv("PVCALC_D", raw)
+    assert main(["compute", str(path), "--realization", "euler"]) == 2
+    assert "PVCALC_D must be an integer" in capsys.readouterr().err
+
+
 def test_missing_file(capsys):
     assert main(["compute", "/nonexistent/conf.json"]) == 2
     assert "error" in capsys.readouterr().err

@@ -195,6 +195,9 @@ def test_zmot_terms():
 def test_zmot_structural_checks():
     with pytest.raises(DataError):
         ZMotDatum(2, ((("A",), HodgePoly.one()),), {})
+    for n in ("2", True, 0, -1, 2.0):
+        with pytest.raises(DataError, match="n must be a positive integer"):
+            ZMotDatum(n, ((("Ej",), HodgePoly.one()),), {"Ej": (2, 1)})
     with pytest.raises(DataError):
         ZMotDatum(2, ((("A",), 1),), {"A": (1, 1)})
     z = ZMotDatum(2, ((("A",), HodgePoly.one()),), {"A": (1, 1), "B": (1, 1)})
