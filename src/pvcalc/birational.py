@@ -22,48 +22,50 @@ blow_up, in the same order.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .errors import CenterError, ContractionError, ValidationError
 from .motring import HodgePoly, _is_int, from_int, lfactor, lpow, ring_sum
 from .pvint import curve_data, stratum_terms
-from .surface import (Config, Curve, _curve_stratum, _inherit_findings,
-                      _point_class, validate)
+from .surface import (Config, Curve, _Frozen, _curve_stratum,
+                      _inherit_findings, _point_class, validate)
 
 _UV = HodgePoly({(1, 1): 1})
 
 
-@dataclass(frozen=True)
-class BlowupCenter:
+class BlowupCenter(_Frozen):
     """Where to blow up: kind is "point", "curve" or "free".
 
-    For "point", a and b name the two curves and index picks the
-    intersection point among several; for "curve", a names the curve.
-    new_id, when given, names the exceptional curve.
+    For "point", a and b name the two curves (stored with a < b) and
+    index picks the intersection point among several; for "curve", a
+    names the curve.  new_id, when given, names the exceptional curve.
     """
 
-    kind: str
-    a: str = None
-    b: str = None
-    index: int = 0
-    new_id: str = None
+    _fields = ("kind", "a", "b", "index", "new_id")
 
-    def __post_init__(self):
-        if self.kind not in ("point", "curve", "free"):
-            raise CenterError(f"unknown center kind {self.kind!r}")
-        if self.kind == "point":
-            if not (self.a and self.b):
+    def __init__(self, kind, a=None, b=None, index=0, new_id=None):
+        if kind not in ("point", "curve", "free"):
+            raise CenterError(f"unknown center kind {kind!r}")
+        if kind == "point":
+            if not (a and b):
                 raise CenterError("point center needs two curve ids")
-            if self.a == self.b:
+            if a == b:
                 raise CenterError("point center needs two distinct curves")
-            if self.b < self.a:
-                a, b = self.a, self.b
-                object.__setattr__(self, "a", b)
-                object.__setattr__(self, "b", a)
-            if not _is_int(self.index) or self.index < 0:
+            if b < a:
+                a, b = b, a
+            if not _is_int(index) or index < 0:
                 raise CenterError("point index must be a nonnegative integer")
-        elif self.kind == "curve" and not self.a:
+        elif kind == "curve" and not a:
             raise CenterError("curve center needs a curve id")
+        self.__dict__.update(kind=kind, a=a, b=b, index=index, new_id=new_id)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.a, self.b, self.index, self.new_id) ==
+                (other.kind, other.a, other.b, other.index, other.new_id))
+
+    def __hash__(self):
+        return hash((self.kind, self.a, self.b, self.index, self.new_id))
 
 
 def at_point(a, b, index=0, new_id=None):

@@ -6,6 +6,10 @@ files, malformed JSON, bad flag combinations).
 
 Configuration files may omit the denominator context d; the PVCALC_D
 environment variable supplies a default in that case.
+
+Each command imports the modules it runs when it runs: a pvcalc process
+runs one command, and without written bytecode every module it imports
+is compiled from source first.
 """
 
 import argparse
@@ -14,16 +18,7 @@ import os
 import re
 import sys
 
-from .birational import (at_point, blow_down, blow_up, free, invariance_delta,
-                         inverse_center, is_exceptional_center, on_curve)
 from .errors import InputError, PvError
-from .models import (case_c_resolved, conic_pipeline_demo, hirzebruch_case_a,
-                     hirzebruch_case_b, random_config)
-from .motring import euler_realize, legend, render, render_hodge
-from .pvint import e_invariant, e_padic, pv_integral, require_valid
-from .surface import dump_config, read_config, save_config, validate
-from .zeta import (alphas_from_numerical, pole_report, read_datum,
-                   residue_contribution, save_datum, triangle_datum)
 
 
 def _default_d():
@@ -40,10 +35,12 @@ def _default_d():
 
 
 def _read_config(path):
+    from .surface import read_config
     return read_config(path, default_d=_default_d())
 
 
 def _emit_config(cfg, out):
+    from .surface import dump_config, save_config
     if out:
         save_config(cfg, out)
         print(f"wrote {out}")
@@ -53,6 +50,7 @@ def _emit_config(cfg, out):
 
 def parse_center(spec):
     """Center syntax: point:A/B#k (k optional), curve:A, free."""
+    from .birational import at_point, free, on_curve
     kind, _, rest = spec.partition(":")
     if kind == "free":
         if rest:
@@ -72,7 +70,11 @@ def parse_center(spec):
         # int() also reads "+3", " 3" and "1_0"; the syntax #k does not
         if idx and not re.fullmatch("[0-9]+", idx):
             raise InputError(f"bad point index in {spec!r}")
-        return at_point(a, b, int(idx) if idx else 0)
+        try:
+            index = int(idx) if idx else 0
+        except ValueError:          # past int()'s digit limit
+            raise InputError(f"bad point index in {spec!r}") from None
+        return at_point(a, b, index)
     raise InputError(
         f"bad center {spec!r}; use point:A/B#k, curve:A or free")
 
@@ -85,6 +87,7 @@ def _fmt_padic(vec, d, q):
 
 
 def cmd_validate(args):
+    from .surface import validate
     cfg = _read_config(args.path)
     rep = validate(cfg)
     for f in rep.findings:
@@ -93,6 +96,8 @@ def cmd_validate(args):
 
 
 def cmd_compute(args):
+    from .motring import euler_realize, legend, render, render_hodge
+    from .pvint import e_invariant, e_padic, pv_integral
     if args.realization == "padic" and args.q is None:
         raise InputError("--q is required for the padic realization")
     if args.realization != "padic" and args.q is not None:
@@ -119,6 +124,9 @@ def cmd_compute(args):
 
 
 def cmd_blowup(args):
+    from .birational import blow_up, invariance_delta, is_exceptional_center
+    from .motring import legend, render
+    from .pvint import require_valid
     cfg = _read_config(args.path)
     center = parse_center(args.center)
     exceptional = is_exceptional_center(cfg, center)
@@ -136,6 +144,10 @@ def cmd_blowup(args):
 
 
 def cmd_blowdown(args):
+    from .birational import (blow_down, invariance_delta, inverse_center,
+                             is_exceptional_center)
+    from .motring import legend, render
+    from .pvint import require_valid
     cfg = _read_config(args.path)
     undo = inverse_center(cfg, args.id)
     result = blow_down(cfg, args.id)
@@ -154,6 +166,9 @@ def cmd_blowdown(args):
 
 
 def cmd_residue(args):
+    from .motring import euler_realize, legend, render, render_hodge
+    from .zeta import (alphas_from_numerical, pole_report, read_datum,
+                       residue_contribution)
     datum = read_datum(args.path)
     alphas = alphas_from_numerical(datum)
     for cid in sorted(alphas):
@@ -169,14 +184,17 @@ def cmd_residue(args):
 
 
 def _demo_case_a():
+    from .models import hirzebruch_case_a
     return hirzebruch_case_a(0, ["1/2", "-1/2"], 2)
 
 
 def _demo_case_b():
+    from .models import hirzebruch_case_b
     return hirzebruch_case_b(0, "1/2", ["1/2", "-1/2"], 2)
 
 
 def _demo_case_c():
+    from .models import case_c_resolved
     return case_c_resolved("1/2")
 
 
@@ -191,6 +209,12 @@ DEMO_NAMES = ("conic-pipeline", "case-a", "case-b", "case-c",
 
 
 def cmd_demo(args):
+    from .models import conic_pipeline_demo
+    from .motring import legend, render
+    from .pvint import e_invariant
+    from .surface import save_config
+    from .zeta import (pole_report, residue_contribution, save_datum,
+                       triangle_datum)
     name = args.name
     if name == "conic-pipeline":
         steps = conic_pipeline_demo()
@@ -222,6 +246,7 @@ def cmd_demo(args):
 
 
 def cmd_gen(args):
+    from .models import random_config
     cfg = random_config(args.seed)
     _emit_config(cfg, args.out)
     return 0

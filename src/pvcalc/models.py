@@ -12,7 +12,6 @@ nonvanishing example; the pipeline demo connects it to a case (b)
 configuration through blow-ups and blow-downs.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 import random
@@ -20,10 +19,10 @@ import random
 from .birational import (at_point, blow_down, blow_up, inverse_center,
                          is_exceptional_center, on_curve)
 from .errors import ConfigError, GeneratorError, PvError
-from .motring import HodgePoly, RingElem
+from .motring import HodgePoly
 from .pvint import e_invariant
-from .surface import (Config, Curve, euler_complement, is_connected, plane,
-                      ruled, validate)
+from .surface import (Config, Curve, _fields_repr, euler_complement,
+                      is_connected, plane, ruled, validate)
 
 
 def hirzebruch_case_a(e, fibre_alphas, d):
@@ -121,13 +120,27 @@ def plane_conic(d=2):
                   curves=(Curve("B", 0, 4, Fraction(-1, 2)),), points=())
 
 
-@dataclass
 class PipelineStep:
-    label: str
-    config: Config
-    invariant: RingElem
-    delta: RingElem
-    exceptional: bool
+    """One step of a scripted pipeline; mutable and unhashable.
+    Unpacks as (label, config, invariant)."""
+
+    _fields = ("label", "config", "invariant", "delta", "exceptional")
+    __repr__ = _fields_repr
+
+    def __init__(self, label, config, invariant, delta, exceptional):
+        self.label = label
+        self.config = config
+        self.invariant = invariant
+        self.delta = delta
+        self.exceptional = exceptional
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.label, self.config, self.invariant, self.delta,
+                 self.exceptional) ==
+                (other.label, other.config, other.invariant, other.delta,
+                 other.exceptional))
 
     def __iter__(self):
         yield self.label

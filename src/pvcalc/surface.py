@@ -12,7 +12,6 @@ unordered pair, tagged with an index so that multiple intersections of
 the same pair stay distinguishable.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 import json
@@ -43,8 +42,35 @@ def _as_fraction(a):
     raise ConfigError(f"cannot read {a!r} as a rational number p or p/q")
 
 
-@dataclass(frozen=True)
-class Curve:
+# ---- value types ------------------------------------------------------
+
+
+def _fields_repr(self):
+    """Name(field=value, ...) over the fields named in self._fields."""
+    args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+    return f"{type(self).__name__}({args})"
+
+
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in _fields, stores them through
+    self.__dict__ in its own __init__, and writes out its own __eq__
+    (only against the same class, field by field) and __hash__ (of the
+    tuple of fields), so that no hot call loops over the fields.
+    Assigning or deleting an attribute raises AttributeError.
+    """
+
+    __repr__ = _fields_repr
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Curve(_Frozen):
     """One irreducible curve of the configuration.
 
     count_trace tweaks the point count of the genus > 0 Jacobian part
@@ -52,26 +78,35 @@ class Curve:
     by the built-in constructions and only matters for e_padic.
     """
 
-    id: str
-    genus: int
-    self_int: int
-    alpha: Fraction
-    count_trace: int = 0
+    _fields = ("id", "genus", "self_int", "alpha", "count_trace")
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
+    def __init__(self, id, genus, self_int, alpha, count_trace=0):
+        if not isinstance(id, str) or not id:
             raise ConfigError("curve id must be a nonempty string")
-        if not _is_int(self.genus) or self.genus < 0:
-            raise ConfigError(f"curve {self.id}: genus must be a nonnegative integer")
-        if not _is_int(self.self_int):
-            raise ConfigError(f"curve {self.id}: self-intersection must be an integer")
-        object.__setattr__(self, "alpha", _as_fraction(self.alpha))
-        if not _is_int(self.count_trace):
-            raise ConfigError(f"curve {self.id}: count_trace must be an integer")
+        if not _is_int(genus) or genus < 0:
+            raise ConfigError(f"curve {id}: genus must be a nonnegative integer")
+        if not _is_int(self_int):
+            raise ConfigError(f"curve {id}: self-intersection must be an integer")
+        alpha = _as_fraction(alpha)
+        if not _is_int(count_trace):
+            raise ConfigError(f"curve {id}: count_trace must be an integer")
+        self.__dict__.update(id=id, genus=genus, self_int=self_int,
+                             alpha=alpha, count_trace=count_trace)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.id, self.genus, self.self_int, self.alpha,
+                 self.count_trace) ==
+                (other.id, other.genus, other.self_int, other.alpha,
+                 other.count_trace))
+
+    def __hash__(self):
+        return hash((self.id, self.genus, self.self_int, self.alpha,
+                     self.count_trace))
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(_Frozen):
     """A curve configuration with exponents, in canonical sorted storage.
 
     d is the common denominator context: every alpha must be a multiple
@@ -79,12 +114,25 @@ class Config:
     are unordered pairs of distinct curve ids plus a small index.
     """
 
-    d: int
-    ambient_hodge: HodgePoly
-    curves: tuple = ()
-    points: tuple = ()
+    _fields = ("d", "ambient_hodge", "curves", "points")
+
+    def __init__(self, d, ambient_hodge, curves=(), points=()):
+        self.__dict__.update(d=d, ambient_hodge=ambient_hodge, curves=curves,
+                             points=points)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.d, self.ambient_hodge, self.curves, self.points) ==
+                (other.d, other.ambient_hodge, other.curves, other.points))
+
+    def __hash__(self):
+        return hash((self.d, self.ambient_hodge, self.curves, self.points))
 
     def __post_init__(self):
+        """Check the stored fields; sort the curves by id and the points
+        into canonical (a, b, index) triples."""
         if not _is_int(self.d) or self.d < 1:
             raise ConfigError("denominator context d must be a positive integer")
         if not isinstance(self.ambient_hodge, HodgePoly):
@@ -107,8 +155,7 @@ class Config:
                 raise ConfigError(f"duplicate intersection point ({a},{b},{k})")
             seen.add((a, b, k))
             pts.append((a, b, k))
-        object.__setattr__(self, "curves", curves)
-        object.__setattr__(self, "points", tuple(sorted(pts)))
+        self.__dict__.update(curves=curves, points=tuple(sorted(pts)))
 
     @staticmethod
     def _read_point(p):
@@ -359,19 +406,41 @@ def is_allowed(config, i):
 # ---- validation -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Finding:
-    severity: str  # "error", "warning" or "info"
-    code: str
-    message: str
+class Finding(_Frozen):
+    """severity is "error", "warning" or "info"."""
+
+    _fields = ("severity", "code", "message")
+
+    def __init__(self, severity, code, message):
+        self.__dict__.update(severity=severity, code=code, message=message)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.severity, self.code, self.message) ==
+                (other.severity, other.code, other.message))
+
+    def __hash__(self):
+        return hash((self.severity, self.code, self.message))
 
     def __str__(self):
         return f"{self.severity} {self.code}: {self.message}"
 
 
-@dataclass
 class Report:
-    findings: list = field(default_factory=list)
+    """A mutable list of findings; unhashable.  findings defaults to a
+    new empty list."""
+
+    _fields = ("findings",)
+    __repr__ = _fields_repr
+
+    def __init__(self, findings=None):
+        self.findings = [] if findings is None else findings
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.findings == other.findings
 
     @property
     def ok(self):

@@ -15,49 +15,55 @@ substituting T = L^(v_j/N_j) collapses every remaining factor to
 (L-1)/(L^alpha - 1) exactly.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError, DataError, GenericityError, SchemaError
 from .motring import HodgePoly, _is_int, from_int, lpow, ring_sum
 from .pvint import _term, invariant_sum
-from .surface import (Config, Curve, Report, _ambient_from_json,
+from .surface import (Config, Curve, Report, _Frozen, _ambient_from_json,
                       _ambient_to_json, _read_json, _write_json,
                       euler_complement, is_connected, strata, validate)
 
 CREATIONS = ("point", "rational_curve", "nonrational_curve")
 
 
-@dataclass(frozen=True)
-class ResolutionComponent:
+class ResolutionComponent(_Frozen):
     """One curve cut out on the exceptional surface, with its (N, v)."""
 
-    id: str
-    genus: int
-    self_int: int
-    N: int
-    v: int
-    trace: int = 0
+    _fields = ("id", "genus", "self_int", "N", "v", "trace")
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
+    def __init__(self, id, genus, self_int, N, v, trace=0):
+        if not isinstance(id, str) or not id:
             raise DataError("component id must be a nonempty string")
-        if not _is_int(self.N) or self.N < 1:
-            raise DataError(f"component {self.id}: N must be a positive integer")
-        if not _is_int(self.v) or self.v < 1:
-            raise DataError(f"component {self.id}: v must be a positive integer")
-        if not _is_int(self.genus) or self.genus < 0:
+        if not _is_int(N) or N < 1:
+            raise DataError(f"component {id}: N must be a positive integer")
+        if not _is_int(v) or v < 1:
+            raise DataError(f"component {id}: v must be a positive integer")
+        if not _is_int(genus) or genus < 0:
             raise DataError(
-                f"component {self.id}: genus must be a nonnegative integer")
-        if not _is_int(self.self_int):
+                f"component {id}: genus must be a nonnegative integer")
+        if not _is_int(self_int):
             raise DataError(
-                f"component {self.id}: self-intersection must be an integer")
-        if not _is_int(self.trace):
-            raise DataError(f"component {self.id}: trace must be an integer")
+                f"component {id}: self-intersection must be an integer")
+        if not _is_int(trace):
+            raise DataError(f"component {id}: trace must be an integer")
+        self.__dict__.update(id=id, genus=genus, self_int=self_int, N=N, v=v,
+                             trace=trace)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.id, self.genus, self.self_int, self.N, self.v,
+                 self.trace) ==
+                (other.id, other.genus, other.self_int, other.N, other.v,
+                 other.trace))
+
+    def __hash__(self):
+        return hash((self.id, self.genus, self.self_int, self.N, self.v,
+                     self.trace))
 
 
-@dataclass(frozen=True)
-class SurfaceResolutionDatum:
+class SurfaceResolutionDatum(_Frozen):
     """The data of one exceptional surface E_j.
 
     nj, vj are the numerical data of E_j itself; creation records how
@@ -65,28 +71,24 @@ class SurfaceResolutionDatum:
     positive genus, the genus kept in creation_genus).
     """
 
-    nj: int
-    vj: int
-    surface_hodge: HodgePoly
-    creation: str
-    components: tuple = ()
-    points: tuple = ()
-    creation_genus: int = 0
+    _fields = ("nj", "vj", "surface_hodge", "creation", "components",
+               "points", "creation_genus")
 
-    def __post_init__(self):
-        if not _is_int(self.nj) or self.nj < 1:
+    def __init__(self, nj, vj, surface_hodge, creation, components=(),
+                 points=(), creation_genus=0):
+        if not _is_int(nj) or nj < 1:
             raise DataError("N_j must be a positive integer")
-        if not _is_int(self.vj) or self.vj < 1:
+        if not _is_int(vj) or vj < 1:
             raise DataError("v_j must be a positive integer")
-        if not isinstance(self.surface_hodge, HodgePoly):
+        if not isinstance(surface_hodge, HodgePoly):
             raise DataError("surface_hodge must be a HodgePoly")
-        if self.creation not in CREATIONS:
+        if creation not in CREATIONS:
             raise DataError(f"creation must be one of {CREATIONS}")
-        if not _is_int(self.creation_genus):
+        if not _is_int(creation_genus):
             raise DataError("creation_genus must be an integer")
-        if self.creation == "nonrational_curve" and self.creation_genus < 1:
+        if creation == "nonrational_curve" and creation_genus < 1:
             raise DataError("nonrational creation needs creation_genus >= 1")
-        comps = tuple(self.components)
+        comps = tuple(components)
         for c in comps:
             if not isinstance(c, ResolutionComponent):
                 raise DataError("components must be ResolutionComponent instances")
@@ -95,15 +97,29 @@ class SurfaceResolutionDatum:
             raise DataError("duplicate component ids")
         idset = set(ids)
         pts = []
-        for p in self.points:
+        for p in points:
             if not isinstance(p, (list, tuple)) or len(p) != 2:
                 raise DataError(f"point {p!r} must be a pair of component ids")
             a, b = p
             if a not in idset or b not in idset or a == b:
                 raise DataError(f"bad intersection pair {p!r}")
             pts.append((a, b) if a < b else (b, a))
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "points", tuple(sorted(pts)))
+        self.__dict__.update(nj=nj, vj=vj, surface_hodge=surface_hodge,
+                             creation=creation, components=comps,
+                             points=tuple(sorted(pts)),
+                             creation_genus=creation_genus)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.nj, self.vj, self.surface_hodge, self.creation,
+                 self.components, self.points, self.creation_genus) ==
+                (other.nj, other.vj, other.surface_hodge, other.creation,
+                 other.components, other.points, other.creation_genus))
+
+    def __hash__(self):
+        return hash((self.nj, self.vj, self.surface_hodge, self.creation,
+                     self.components, self.points, self.creation_genus))
 
 
 def alphas_from_numerical(datum):
@@ -144,25 +160,23 @@ def residue_contribution(datum):
 # ---- formal zeta-function side ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ZMotDatum:
+class ZMotDatum(_Frozen):
     """Strata classes and numerical data of an ambient resolution.
 
     n, a positive int, is the ambient dimension minus one (2 for
     surfaces in threefolds);
     strata pairs a sorted id subset with the class of its open stratum;
     numerical maps each component id to its (N, v), a pair of positive
-    ints, and must cover every id of strata.
+    ints, and must cover every id of strata.  The hash leaves numerical
+    out; equality compares it too.
     """
 
-    n: int
-    strata: tuple
-    numerical: dict = field(hash=False)
+    _fields = ("n", "strata", "numerical")
 
-    def __post_init__(self):
-        if not _is_int(self.n) or self.n < 1:
-            raise DataError(f"n must be a positive integer, got {self.n!r}")
-        for i, data in self.numerical.items():
+    def __init__(self, n, strata, numerical):
+        if not _is_int(n) or n < 1:
+            raise DataError(f"n must be a positive integer, got {n!r}")
+        for i, data in numerical.items():
             if not (isinstance(data, tuple) and len(data) == 2):
                 raise DataError(
                     f"component {i}: numerical data must be a pair (N, v)")
@@ -171,14 +185,23 @@ class ZMotDatum:
                 raise DataError(f"component {i}: N must be a positive integer")
             if not _is_int(v) or v < 1:
                 raise DataError(f"component {i}: v must be a positive integer")
-        strata = tuple((tuple(sorted(ids)), h) for ids, h in self.strata)
+        strata = tuple((tuple(sorted(ids)), h) for ids, h in strata)
         for ids, h in strata:
             for i in ids:
-                if i not in self.numerical:
+                if i not in numerical:
                     raise DataError(f"stratum id {i!r} has no numerical data")
             if not isinstance(h, HodgePoly):
                 raise DataError("stratum classes must be HodgePoly")
-        object.__setattr__(self, "strata", strata)
+        self.__dict__.update(n=n, strata=strata, numerical=numerical)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n, self.strata, self.numerical) ==
+                (other.n, other.strata, other.numerical))
+
+    def __hash__(self):
+        return hash((self.n, self.strata))
 
 
 def zmot_contribution(z, j):

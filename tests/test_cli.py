@@ -1,9 +1,14 @@
 """CLI behavior: output strings, exit codes, file handling."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import pvcalc
 
 from pvcalc.birational import (at_point, blow_down, blow_up, free,
                                inverse_center, on_curve)
@@ -195,6 +200,15 @@ def test_blowup_bad_center(conic_file, capsys):
     assert main(["blowup", conic_file, "--center", "point:A/B"]) == 1
 
 
+def test_blowup_huge_point_index(conic_file, capsys):
+    # past int()'s digit limit: still a malformed spec, not a traceback
+    spec = "point:A/B#" + "9" * 5000
+    with pytest.raises(InputError, match="bad point index"):
+        parse_center(spec)
+    assert main(["blowup", conic_file, "--center", spec]) == 2
+    assert "bad point index" in capsys.readouterr().err
+
+
 def test_blowdown_roundtrip(conic_file, tmp_path, capsys):
     up_path = str(tmp_path / "up.json")
     assert main(["blowup", conic_file, "--center", "free",
@@ -237,7 +251,7 @@ def test_blowup_and_blowdown_validate_their_result(tmp_path, capsys,
     assert "fails validation" in capsys.readouterr().err
     conic = tmp_path / "conic.json"
     save_config(plane_conic(), conic)
-    monkeypatch.setattr("pvcalc.cli.blow_up", lambda cfg, center: bad)
+    monkeypatch.setattr("pvcalc.birational.blow_up", lambda cfg, center: bad)
     assert main(["blowup", str(conic), "--center", "curve:B"]) == 1
     assert "fails validation" in capsys.readouterr().err
 
@@ -513,3 +527,74 @@ def test_unknown_command():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---- what each command imports ----------------------------------------
+
+# a child records the modules it had before importing pvcalc, runs one
+# command and prints the modules loaded since (its output goes nowhere)
+_CHILD = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import pvcalc
+    code = 0
+else:
+    import pvcalc.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = pvcalc.cli.main(argv)
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+def _loaded(argv):
+    src = os.path.dirname(os.path.dirname(pvcalc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    return modules
+
+
+_BASE = {"pvcalc", "pvcalc.cli", "pvcalc.errors"}
+_RING = _BASE | {"pvcalc.motring", "pvcalc._kernel", "pvcalc.surface"}
+_COMPUTE = _RING | {"pvcalc.pvint"}
+
+
+def test_import_pvcalc_loads_no_submodule():
+    modules = _loaded(None)
+    assert [m for m in modules if m.startswith("pvcalc")] == ["pvcalc"]
+    assert "dataclasses" not in modules
+
+
+def test_each_command_imports_only_what_it_runs(conic_file, tmp_path):
+    datum = str(tmp_path / "tri.json")
+    save_datum(triangle_datum(), datum)
+    up = str(tmp_path / "up.json")
+    save_config(blow_up(plane_conic(), on_curve("B")), up)
+    out = str(tmp_path / "out.json")
+    compute = ["compute", conic_file, "--realization"]
+    cases = [
+        (compute + ["motivic"], _COMPUTE),
+        (compute + ["hodge"], _COMPUTE),
+        (compute + ["euler"], _COMPUTE),
+        (compute + ["padic", "--q", "5"], _COMPUTE),
+        (["validate", conic_file], _RING),
+        (["residue", datum], _COMPUTE | {"pvcalc.zeta"}),
+        (["blowup", conic_file, "--center", "curve:B", "--out", out],
+         _COMPUTE | {"pvcalc.birational"}),
+        (["blowdown", up, "--id", "E1", "--out", out],
+         _COMPUTE | {"pvcalc.birational"}),
+        (["gen", "--seed", "1"], None),
+        (["demo", "conic-pipeline", "--out", out], None),
+    ]
+    for argv, want in cases:
+        modules = _loaded(argv)
+        assert "dataclasses" not in modules, argv
+        if want is not None:
+            assert {m for m in modules if m.startswith("pvcalc")} == want, argv
