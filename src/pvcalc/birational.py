@@ -26,7 +26,7 @@ from bisect import bisect_left
 from .errors import CenterError, ContractionError, ValidationError
 from .motring import HodgePoly, _is_int, from_int, lfactor, lpow, ring_sum
 from .pvint import curve_data, stratum_terms
-from .surface import (Config, Curve, _Frozen, _curve_stratum,
+from .surface import (Curve, _Frozen, _curve_id, _curve_stratum,
                       _inherit_findings, _point_class, validate)
 
 _UV = HodgePoly({(1, 1): 1})
@@ -68,6 +68,15 @@ class BlowupCenter(_Frozen):
         return hash((self.kind, self.a, self.b, self.index, self.new_id))
 
 
+def _stored_center(kind, a, b=None, index=0):
+    """A center read off a Config's sorted storage: a curve id, or a
+    stored (a, b, index) point.  Storage already guarantees what
+    BlowupCenter checks, so its checks are skipped."""
+    center = BlowupCenter.__new__(BlowupCenter)
+    center.__dict__.update(kind=kind, a=a, b=b, index=index, new_id=None)
+    return center
+
+
 def at_point(a, b, index=0, new_id=None):
     return BlowupCenter("point", a, b, index, new_id)
 
@@ -81,12 +90,10 @@ def free(new_id=None):
 
 
 def fresh_id(config, prefix="E"):
-    """First unused id of the form prefix + number."""
-    used = set(config.curve_map)
-    k = 1
-    while f"{prefix}{k}" in used:
-        k += 1
-    return f"{prefix}{k}"
+    """First unused id of the form prefix + number.  The number found is
+    kept on config and carried through blow_up, blow_down and
+    add_unit_curve, so a chain of moves does not rescan the ids."""
+    return config._free_id(prefix)
 
 
 def _check_center(config, center):
@@ -108,13 +115,22 @@ def _check_center(config, center):
 
 
 def _next_index(config, a, b):
+    """The first index unused by a point of a and b, read from the
+    pair's run of sorted points."""
     if b < a:
         a, b = b, a
-    used = {k for (x, y, k) in config.points if (x, y) == (a, b)}
+    pts = config.points
+    at = bisect_left(pts, (a, b))
     k = 0
-    while k in used:
+    while at < len(pts) and pts[at][:2] == (a, b) and pts[at][2] == k:
+        at += 1
         k += 1
     return k
+
+
+def _shifted(c, step):
+    """Curve c with its self-intersection changed by step."""
+    return Curve(c.id, c.genus, c.self_int + step, c.alpha, c.count_trace)
 
 
 def _blow_up_preconditions(config, center):
@@ -150,8 +166,8 @@ def blow_up(config, center):
     stored on it, not computed, so validating it costs nothing.  With T
     the curves through the center and E the new curve, they are two:
     - chi of the complement, chi + |T| - [point center] - 1 (uv adds 1,
-      E is a P^1, the points change by |T| - [point center]), counted
-      by euler_complement, which builds no polynomial;
+      E is a P^1, the points change by |T| - [point center]), the
+      change Config._moved makes to config's chi;
     - connectivity: a point or curve center keeps config's finding;
       at a free center E meets no curve, so the divisor is disconnected
       if config had curves and connected if it had none.
@@ -170,41 +186,66 @@ def blow_up(config, center):
     - alpha_E = 0 next to an alpha = 0 curve of T needs the other
       branch to have alpha 0 too, a log pair config would already have.
     Curves away from T keep their neighbours and self-intersections.
+
+    The result is built by Config._moved from config's storage and
+    views, and so are the views below that config holds: the candidate
+    centers (a center of the point is gone, those of E and its points
+    join) and the pattern table, where only the curves of T and E can
+    change, since only their neighbours do.  A move thus costs what it
+    touches, not the size of the configuration.
     """
     touched, e = _blow_up_preconditions(config, center)
-    curves = []
-    for c in config.curves:
-        if c.id in touched:
-            c = Curve(c.id, c.genus, c.self_int - 1, c.alpha, c.count_trace)
-        curves.append(c)
-    curves.append(e)
-
-    points = [p for p in config.points
-              if not (center.kind == "point"
-                      and p == (center.a, center.b, center.index))]
-    for i in touched:
-        points.append((i, e.id, 0))
-
-    after = Config(d=config.d, ambient_hodge=config.ambient_hodge + _UV,
-                   curves=tuple(curves), points=tuple(points))
+    cm = config.curve_map
+    out = (((center.a, center.b, center.index),) if center.kind == "point"
+           else ())
+    new_points = sorted((i, e.id, 0) if i < e.id else (e.id, i, 0)
+                        for i in touched)
+    after = config._moved(config.ambient_hodge + _UV,
+                          [_shifted(cm[i], -1) for i in touched] + [e],
+                          points_out=out, points_in=new_points)
     _inherit_findings(config, after, center.kind == "free")
+    if "_centers" in config.__dict__:
+        _carry_centers(config, after, out, new_points, e.id)
+    if "_patterns" in config.__dict__:
+        _carry_patterns(config, after, touched, e)
     return after
 
 
-def blow_down(config, curve_id):
-    """Contract a (-1)-curve; exact inverse of blow_up.
+def _centers(config):
+    """The on-divisor centers, as models.candidate_centers lists them:
+    one per point, in storage order, then one per curve, in id order.
+    Built once per Config and carried through blow_up."""
+    centers = config.__dict__.get("_centers")
+    if centers is None:
+        centers = [_stored_center("point", a, b, k)
+                   for a, b, k in config.points]
+        centers += [_stored_center("curve", c.id) for c in config.curves]
+        config.__dict__["_centers"] = centers
+    return centers
 
-    The curve must be rational with self-intersection -1, meet at most
-    two others, each exactly once, and its exponent must match the sum
-    rule for its neighbor pattern; anything else is an error rather than
-    a silent fix-up.
-    """
+
+def _carry_centers(config, after, out, new_points, new_id):
+    """Store on after, config's blow-up, config's centers with those
+    of the points out removed and those of the sorted points new_points
+    and the curve new_id inserted."""
+    centers = config.__dict__["_centers"]
+    n = len(config.points)
+    pts, curves = centers[:n], centers[n:]
+    for p in out:
+        del pts[bisect_left(config.points, p)]
+    for p in new_points:        # ascending, so each lands at its place
+        pts.insert(bisect_left(after.points, p), _stored_center("point", *p))
+    curves.insert(bisect_left(after.curves, new_id, key=_curve_id),
+                  _stored_center("curve", new_id))
+    after.__dict__["_centers"] = pts + curves
+
+
+def _contractible(config, curve_id):
+    """blow_down's checks that curve_id can be contracted, shared with
+    inverse_center; returns the curve's neighbours, in id order."""
     c = config.curve(curve_id)
-    if c.genus != 0:
-        raise ContractionError(f"{curve_id} has genus {c.genus}, cannot contract")
-    if c.self_int != -1:
-        raise ContractionError(
-            f"{curve_id} has self-intersection {c.self_int}, not -1")
+    if c.genus != 0 or c.self_int != -1:
+        raise ContractionError(f"{curve_id} is not a (-1)-curve")
     nbs = config.neighbors[curve_id]
     npts = config.points_per_curve[curve_id]
     if npts > 2 or npts != len(nbs):
@@ -215,31 +256,63 @@ def blow_down(config, curve_id):
     if c.alpha != expect:
         raise ContractionError(
             f"alpha of {curve_id} is {c.alpha}, the sum rule needs {expect}")
+    return nbs
 
-    curves = []
-    for k in config.curves:
-        if k.id == curve_id:
-            continue
-        if k.id in nbs:
-            k = Curve(k.id, k.genus, k.self_int + 1, k.alpha, k.count_trace)
-        curves.append(k)
-    points = [p for p in config.points if curve_id not in (p[0], p[1])]
+
+def blow_down(config, curve_id):
+    """Contract a (-1)-curve; exact inverse of blow_up.
+
+    The curve must be rational with self-intersection -1, meet at most
+    two others, each exactly once, and its exponent must match the sum
+    rule for its neighbor pattern; anything else is an error rather than
+    a silent fix-up.
+
+    When config is valid and the curve E meets T, one or two curves,
+    the result is valid too, and its findings are stored on it, not
+    computed.  This reverses blow_up's algebra:
+    - each curve i of T keeps its adjunction defect, which changes by
+      alpha_i - (alpha_E - 1) + sum over j in T, j != i, of
+      (alpha_j - 1) = sum over T of alpha + 2 - |T| - alpha_E = 0, by
+      the sum rule; the other curves keep their neighbours, and E's
+      defect leaves with it;
+    - every alpha stays, so no multiple of 1/d is lost;
+    - an alpha = 0 curve i of T keeps its count of points on curves
+      with alpha != 1: with two neighbours it trades its point on E for
+      one on the other, j, and alpha_E = alpha_j; with one it loses a
+      point on E, and alpha_E = 1;
+    - two alpha = 0 curves of T come to meet only if alpha_E = 0, a log
+      pair config would already have;
+    - chi becomes chi - |T| + [|T| = 2] + 1, the change Config._moved
+      makes, and connectivity is config's: E joined the curves of T,
+      which stay joined, directly or through E.
+    An invalid config, or an E that meets no curve, whose contraction
+    can leave the divisor connected or not, keeps a full revalidation.
+    """
+    nbs = _contractible(config, curve_id)
+    pts = config.points
+    # each neighbour meets E once, in the first point of their pair
+    out = [pts[bisect_left(pts, (i, curve_id) if i < curve_id
+                           else (curve_id, i))] for i in nbs]
+    new_points = ()
     if len(nbs) == 2:
         a, b = nbs
-        points.append((a, b, _next_index(config, a, b)))
-    return Config(d=config.d, ambient_hodge=config.ambient_hodge - _UV,
-                  curves=tuple(curves), points=tuple(points))
+        new_points = ((a, b, _next_index(config, a, b)),)
+    cm = config.curve_map
+    after = config._moved(config.ambient_hodge - _UV,
+                          [_shifted(cm[i], 1) for i in nbs], gone=curve_id,
+                          points_out=out, points_in=new_points)
+    if nbs and validate(config).ok:
+        _inherit_findings(config, after, False)
+    return after
 
 
 def inverse_center(config, curve_id):
     """The center whose blow-up blow_down(config, curve_id) undoes.
 
     Point references are expressed in the contracted configuration.
+    A curve that blow_down refuses raises its ContractionError.
     """
-    c = config.curve(curve_id)
-    if c.self_int != -1 or c.genus != 0:
-        raise ContractionError(f"{curve_id} is not a (-1)-curve")
-    nbs = config.neighbors[curve_id]
+    nbs = _contractible(config, curve_id)
     if len(nbs) == 2:
         a, b = nbs
         return at_point(a, b, _next_index(config, a, b), new_id=curve_id)
@@ -264,19 +337,53 @@ def _zero_curve_pattern(config, i):
     return (a1, a2)
 
 
+def _patterns(config):
+    """(table, ones): each alpha = 0 curve with a pattern, mapped to
+    its _zero_curve_pattern, and the set of alpha = 1 curves.  Built
+    once per Config and carried through blow_up."""
+    patterns = config.__dict__.get("_patterns")
+    if patterns is None:
+        table = {}
+        for c in config.curves:
+            if c.alpha == 0:
+                pattern = _zero_curve_pattern(config, c.id)
+                if pattern is not None:
+                    table[c.id] = pattern
+        ones = {c.id for c in config.curves if c.alpha == 1}
+        patterns = config.__dict__["_patterns"] = (table, ones)
+    return patterns
+
+
+def _carry_patterns(config, after, touched, e):
+    """Store on after, config's blow-up with new curve e through the
+    curves touched, config's patterns with the curves whose neighbours
+    changed, those of touched and e, recomputed."""
+    table, ones = config.__dict__["_patterns"]
+    table = dict(table)
+    for i in touched + (e.id,):
+        table.pop(i, None)
+        pattern = _zero_curve_pattern(after, i)
+        if pattern is not None:
+            table[i] = pattern
+    if e.alpha == 1:
+        ones = ones | {e.id}
+    after.__dict__["_patterns"] = (table, ones)
+
+
 def exceptional_alphas(config, center):
     """The (a, -a) pair driving a nonzero invariant change, or None."""
     _check_center(config, center)
+    table, ones = _patterns(config)
     if center.kind == "curve":
-        return _zero_curve_pattern(config, center.a)
+        return table.get(center.a)
     if center.kind == "point":
-        ca, cb = config.curve(center.a), config.curve(center.b)
         # the center must avoid the two special neighbors, so the other
         # branch through it has to be a unit curve
-        if ca.alpha == 0 and cb.alpha == 1:
-            return _zero_curve_pattern(config, center.a)
-        if cb.alpha == 0 and ca.alpha == 1:
-            return _zero_curve_pattern(config, center.b)
+        a, b = center.a, center.b
+        if a in table and b in ones:
+            return table[a]
+        if b in table and a in ones:
+            return table[b]
     return None
 
 
@@ -366,11 +473,12 @@ def add_unit_curve(config, genus, self_int, crossings):
         raise ContractionError(
             f"unit curve with self-intersection {self_int} has "
             f"adjunction defect {defect}")
-    curves = config.curves + (Curve(new_id, genus, self_int, 1),)
-    points = list(config.points)
     seen = {}
+    points = []
     for i in crossings:
-        points.append((i, new_id, seen.get(i, 0)))
-        seen[i] = seen.get(i, 0) + 1
-    return Config(d=config.d, ambient_hodge=config.ambient_hodge,
-                  curves=curves, points=tuple(points))
+        k = seen.get(i, 0)
+        points.append((i, new_id, k) if i < new_id else (new_id, i, k))
+        seen[i] = k + 1
+    return config._moved(config.ambient_hodge,
+                         [Curve(new_id, genus, self_int, 1)],
+                         points_in=points)

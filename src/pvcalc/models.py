@@ -16,8 +16,8 @@ from fractions import Fraction
 import math
 import random
 
-from .birational import (at_point, blow_down, blow_up, inverse_center,
-                         is_exceptional_center, on_curve)
+from .birational import (_centers, at_point, blow_down, blow_up,
+                         inverse_center, is_exceptional_center)
 from .errors import ConfigError, GeneratorError, PvError
 from .motring import HodgePoly
 from .pvint import e_invariant
@@ -233,10 +233,10 @@ def _random_base(rng):
 
 
 def candidate_centers(config):
-    """All on-divisor centers, in a deterministic order."""
-    centers = [at_point(a, b, k) for (a, b, k) in config.points]
-    centers.extend(on_curve(i) for i in sorted(config.curve_map))
-    return centers
+    """All on-divisor centers, in a deterministic order: each point, in
+    storage order, then each curve, in id order.  The list is kept on
+    config and carried through blow_up; each call returns a copy."""
+    return list(_centers(config))
 
 
 def random_config(seed, max_blowups=3):

@@ -848,5 +848,5 @@ def _uv_power(c, d):
 
 def render_hodge(x):
     """Same element displayed with (u*v)^(k/d) in place of w^k (uv = L).
-    Display form only; the canonical parser does not read it."""
+    Display form only; parse_ring_elem does not read it."""
     return _render(x, lambda c: _uv_power(c, x.d))

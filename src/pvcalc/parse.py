@@ -1,4 +1,4 @@
-"""Parser for the canonical w-form that motring.render writes.
+"""Parser for the w-form that motring.render writes.
 
 parse_ring_elem(render(x), x.d) rebuilds x with identical stored data.
 Nothing in the package calls it; it is kept out of motring so that a
@@ -194,8 +194,8 @@ class _Parser:
 
 
 def parse_ring_elem(s, d):
-    """Parse the canonical w-form.  parse(render(x), x.d) reproduces
-    x with identical stored data."""
+    """Parse the w-form that render writes.  parse(render(x), x.d)
+    reproduces x with identical stored data."""
     tokens = _tokenize(s)
     if not tokens:
         raise ParseError("empty input")

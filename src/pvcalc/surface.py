@@ -12,8 +12,10 @@ unordered pair, tagged with an index so that multiple intersections of
 the same pair stay distinguishable.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 import json
 from math import lcm
 import re
@@ -229,6 +231,149 @@ class Config(_Frozen):
     @cached_property
     def _findings(self):
         return _compute_findings(self)
+
+    @cached_property
+    def _chi(self):
+        return euler_complement(self)
+
+    def _free_id(self, prefix):
+        """The first unused id prefix + k, k = 1, 2, ...  The k found is
+        kept on the Config, and _moved carries it, so a chain of moves
+        does not rescan the ids below it."""
+        free = self.__dict__.setdefault("_free", {})
+        k = free.get(prefix, 1)
+        cm = self.curve_map
+        while f"{prefix}{k}" in cm:
+            k += 1
+        free[prefix] = k
+        return f"{prefix}{k}"
+
+    def _moved(self, ambient_hodge, curves=(), gone=None, points_out=(),
+               points_in=()):
+        """The Config self becomes when its ambient class is
+        ambient_hodge, each curve of curves replaces self's curve of the
+        same id or joins it, the curve gone leaves, the points of
+        points_out leave and those of points_in join.
+
+        The blow-up calculus builds its results here, from self's
+        sorted storage, without Config's checks: the caller passes
+        canonical (a, b, index) triples, points_out of self and
+        points_in new to the result on its curves, and gone with all
+        its points in points_out.  The curves and points that change
+        are placed by bisection; the derived views are self's with
+        local updates, in the key order a fresh build gives; chi, when
+        self knows it, changes by the Euler numbers of what joins and
+        leaves.  So the work follows what the move touches, apart from
+        copying tuples and dicts and rebuilding a view that a new key
+        joins other than at its end.
+        """
+        old = self.curve_map
+        joining = sorted((c.id, c) for c in curves if c.id not in old)
+        cm = _merged(old, joining)
+        nb = _merged(self.neighbors, [(i, ()) for i, _ in joining])
+        ppc = _merged(self.points_per_curve, [(i, 0) for i, _ in joining])
+        chi = (ambient_hodge.euler() - self.ambient_hodge.euler()
+               + len(points_in) - len(points_out))
+        lst = list(self.curves)
+        for c in curves:
+            at = bisect_left(lst, c.id, key=_curve_id)
+            if c.id in old:
+                chi += 2 - 2 * old[c.id].genus
+                lst[at] = c
+            else:
+                lst.insert(at, c)
+            cm[c.id] = c
+            chi -= 2 - 2 * c.genus
+        pc = self.pair_counts
+        meeting = {(a, b) for a, b, _ in points_in} - pc.keys()
+        pc = _merged(pc, [(pair, 0) for pair in sorted(meeting)])
+        pts = list(self.points)
+        for p in points_in:
+            pts.insert(bisect_left(pts, p), p)
+            a, b, _ = p
+            ppc[a] += 1
+            ppc[b] += 1
+            if not pc[a, b]:
+                nb[a] = _with(nb[a], b)
+                nb[b] = _with(nb[b], a)
+            pc[a, b] += 1
+        for p in points_out:
+            del pts[bisect_left(pts, p)]
+            a, b, _ = p
+            ppc[a] -= 1
+            ppc[b] -= 1
+            pc[a, b] -= 1
+            if not pc[a, b]:
+                del pc[a, b]
+                nb[a] = _without(nb[a], b)
+                nb[b] = _without(nb[b], a)
+        if gone is not None:
+            chi += 2 - 2 * cm[gone].genus
+            del lst[bisect_left(lst, gone, key=_curve_id)]
+            del cm[gone], nb[gone], ppc[gone]
+        new = Config.__new__(Config)
+        new.__dict__.update(d=self.d, ambient_hodge=ambient_hodge,
+                            curves=tuple(lst), points=tuple(pts),
+                            curve_map=cm, neighbors=nb, pair_counts=pc,
+                            points_per_curve=ppc)
+        cached = self.__dict__
+        if "_chi" in cached:
+            new.__dict__["_chi"] = cached["_chi"] + chi
+        if "_free" in cached:
+            new.__dict__["_free"] = _free_after(cached["_free"], gone)
+        return new
+
+
+def _curve_id(c):
+    return c.id
+
+
+def _merged(d, items):
+    """A copy of d with items, (key, value) pairs with new keys in
+    ascending order, each inserted at its place in d's sorted key order.
+    A dict keeps insertion order, so unless every new key sorts last the
+    copy is rebuilt, in one pass however many keys join."""
+    if not items or not d or next(reversed(d)) < items[0][0]:
+        out = dict(d)
+        out.update(items)
+        return out
+    keys = list(d)
+    rest = iter(d.items())
+    out = {}
+    done = 0
+    for key, value in items:
+        at = bisect_left(keys, key)
+        out.update(islice(rest, at - done))
+        out[key] = value
+        done = at
+    out.update(rest)
+    return out
+
+
+def _with(ids, i):
+    """The sorted tuple ids with i inserted."""
+    at = bisect_left(ids, i)
+    return ids[:at] + (i,) + ids[at:]
+
+
+def _without(ids, i):
+    """The sorted tuple ids with i removed."""
+    at = bisect_left(ids, i)
+    return ids[:at] + ids[at + 1:]
+
+
+def _free_after(free, gone):
+    """Config._free_id's first unused k per prefix once the curve gone
+    (or none) has left: gone = prefix + j with j below k frees j."""
+    free = dict(free)
+    if gone is not None:
+        for prefix, k in free.items():
+            j = gone[len(prefix):]
+            if (gone.startswith(prefix) and j.isascii() and j.isdigit()
+                    and j[0] != "0" and len(j) <= len(str(k))
+                    and int(j) < k):
+                free[prefix] = int(j)
+    return free
 
 
 # ---- ambient surface classes ----------------------------------------
@@ -508,7 +653,7 @@ def _closing_findings(config, connected):
     characteristic of config's complement, then whether its divisor is
     connected (read only when it has curves)."""
     chi = Finding("info", "chi", "euler characteristic of the open complement: "
-                  f"{euler_complement(config)}")
+                  f"{config._chi}")
     if not config.curves:
         return chi, Finding("warning", "connectivity",
                             "empty divisor counts as disconnected")
@@ -518,11 +663,11 @@ def _closing_findings(config, connected):
 
 
 def _inherit_findings(config, after, free):
-    """Store its findings on after, the blow-up of the valid config at a
-    free center when free is true, without checking it: its chi, then
-    config's connectivity finding, or at a free center that of E apart
-    from config's curves.  birational.blow_up shows that after has no
-    other finding."""
+    """Store its findings on after, the blow-up or blow-down of the
+    valid config made by _moved, without checking it: its chi, then
+    config's connectivity finding, or after a blow-up at a free center
+    that of E apart from config's curves.  birational.blow_up and
+    birational.blow_down show that after has no other finding."""
     chi, connectivity = _closing_findings(after, not config.curves)
     if not free:
         connectivity = config._findings[-1]

@@ -2,7 +2,7 @@
 
 Each test prints a single ACCEPTANCE line (visible with pytest -s).
 Every comparison is exact: ring-element equality, Fraction equality, or
-string equality of canonical renders.  No tolerances anywhere.
+string equality of renders.  No tolerances anywhere.
 """
 
 import math

@@ -201,6 +201,63 @@ def test_blow_down_refuses_bad_curves():
     assert "sum rule" in str(exc.value)
 
 
+def test_inverse_center_refuses_what_blow_down_refuses():
+    # a (-1)-curve with three neighbours, or with two points on one
+    # neighbour, used to get a center (free, on_curve) no blow-up undoes
+    mk = lambda *cs, pts=(): Config(2, ruled(0), list(cs), list(pts))
+    three = mk(Curve("Z", 0, -1, 1), Curve("A", 0, 0, 1),
+               Curve("B", 0, 0, 1), Curve("C", 0, 0, 1),
+               pts=[("Z", "A"), ("Z", "B"), ("Z", "C")])
+    tangent = mk(Curve("Z", 0, -1, 2), Curve("A", 0, 0, F(1, 2)),
+                 pts=[("Z", "A", 0), ("Z", "A", 1)])
+    wrong = mk(Curve("Z", 0, -1, 1), Curve("A", 0, 0, F(1, 2)),
+               pts=[("Z", "A")])
+    square = mk(Curve("Z", 0, 0, 2))
+    for cfg in (three, tangent, wrong, square):
+        with pytest.raises(ContractionError) as down:
+            blow_down(cfg, "Z")
+        with pytest.raises(ContractionError) as inverse:
+            inverse_center(cfg, "Z")
+        assert str(inverse.value) == str(down.value)
+
+
+def test_blow_down_takes_the_first_free_index():
+    cfg = double_point()
+    for k in (0, 1):
+        up = blow_up(cfg, at_point("C", "T", k))
+        assert inverse_center(up, "E1") == at_point("C", "T", k, new_id="E1")
+        assert blow_down(up, "E1") == cfg
+
+
+def test_blow_down_findings():
+    """blow_down stores the findings of a valid input's contraction
+    when the curve meets another, and they are a full validation's."""
+    cfg = pattern_config(F(1, 2))
+    for center in (at_point("C1", "F1"), on_curve("F2"), on_curve("C1")):
+        down = blow_down(blow_up(cfg, center), "E1")
+        assert "_findings" in vars(down)
+        assert validate(down).findings == list(_compute_findings(fresh(down)))
+    # a free curve leaves connectivity open, an invalid input its errors
+    down = blow_down(blow_up(cfg, free()), "E1")
+    assert "_findings" not in vars(down)
+    bad = Config(2, ruled(0), [Curve("X", 0, 5, 1), Curve("E", 0, -1, 2),
+                               Curve("A", 0, 0, 1)], [("A", "E")])
+    down = blow_down(bad, "E")
+    assert "_findings" not in vars(down)
+    assert not validate(down).ok
+
+
+def test_fresh_id_follows_moves():
+    cfg = pattern_config(F(1, 2))
+    assert fresh_id(cfg) == "E1"
+    up = blow_up(blow_up(cfg, on_curve("F1")), on_curve("F2"))
+    assert fresh_id(up) == "E3"
+    down = blow_down(up, "E1")
+    assert fresh_id(down) == "E1"
+    assert fresh_id(blow_down(down, "E2")) == "E1"
+    assert fresh_id(add_unit_curve(down, 0, -2, []), "U") == "U2"
+
+
 # ---- exceptional centers ---------------------------------------------------
 
 
@@ -420,3 +477,86 @@ def test_blow_up_findings_cases():
     assert up.curve("E1").alpha == 0
     up = check_inherited(double_point(), at_point("C", "T", 1))
     assert up.intersection("C", "T") == 1
+
+
+# ---- moves against fresh builds -------------------------------------------
+
+VIEWS = ("curve_map", "neighbors", "pair_counts", "points_per_curve")
+MOVES = st.tuples(st.sampled_from(("up", "down", "unit")),
+                  st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                  st.booleans())
+
+
+def move(cfg, kind, i, j):
+    """One blow-up, blow-down or unit curve of cfg picked by i and j,
+    or None when the pick does not apply."""
+    ids = sorted(cfg.curve_map)
+    if kind == "up":
+        centers = candidate_centers(cfg) + [free()]
+        center = centers[i % len(centers)]
+        if j % 3 == 0:      # a given id, maybe one fresh_id skips over
+            center = BlowupCenter(center.kind, center.a, center.b,
+                                  center.index, new_id=f"E{j % 7 + 1}")
+            if center.new_id in cfg.curve_map:
+                return None
+        return blow_up(cfg, center)
+    if kind == "down":      # mostly a (-1)-curve, which may contract
+        ids = [c.id for c in cfg.curves if c.self_int == -1] or ids
+        try:
+            return blow_down(cfg, ids[i % len(ids)]) if ids else None
+        except ContractionError:
+            return None
+    crossings = [ids[k % len(ids)] for k in (i, j, i // 7)[:j % 4]] \
+        if ids else []
+    slack = sum((cfg.curve(c).alpha - 1 for c in crossings), F(0))
+    if slack.denominator != 1:
+        return None
+    return add_unit_curve(cfg, 0, int(-2 - slack), crossings)
+
+
+def check_like_fresh(cfg):
+    """cfg equals an equal, freshly constructed Config in value, hash,
+    derived views with their order, findings, centers and fresh ids."""
+    new = fresh(cfg)
+    assert cfg == new and hash(cfg) == hash(new)
+    for view in VIEWS:
+        got, want = getattr(cfg, view), getattr(new, view)
+        assert got == want and list(got) == list(want), view
+    assert validate(cfg).findings == list(_compute_findings(new))
+    centers = candidate_centers(new)
+    assert candidate_centers(cfg) == centers
+    for center in centers + [free()]:
+        assert exceptional_alphas(cfg, center) == \
+            exceptional_alphas(new, center)
+    for prefix in ("E", "U"):
+        assert fresh_id(cfg, prefix) == fresh_id(new, prefix)
+
+
+def test_blow_up_carries_views():
+    """blow_up carries the views built on its input, the pattern of a
+    new alpha = 0 curve between opposite exponents included."""
+    cfg = opposite_crossing()
+    check_like_fresh(cfg)       # builds every view for blow_up to carry
+    patterns = set()
+    for center in candidate_centers(cfg) + [free()]:
+        up = blow_up(cfg, center)
+        check_like_fresh(up)
+        patterns.add(exceptional_alphas(up, on_curve(fresh_id(cfg))))
+    assert patterns - {None}
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_configs() | st.sampled_from(
+           (pattern_config(F(1, 2)), double_point(), opposite_crossing())),
+       st.lists(MOVES, max_size=8))
+def test_moves_match_fresh_builds(cfg, moves):
+    """After any sequence of blow_up, blow_down and add_unit_curve, the
+    Config that the moves carry along equals a fresh build.  A move
+    whose flag is set is checked first, which builds every view on its
+    input for the move to carry; the others find only what the moves
+    themselves build, so lazily built views are checked too."""
+    for kind, i, j, warm in moves:
+        if warm:
+            check_like_fresh(cfg)
+        cfg = move(cfg, kind, i, j) or cfg
+    check_like_fresh(cfg)
