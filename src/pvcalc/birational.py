@@ -58,15 +58,6 @@ class BlowupCenter(_Frozen):
             raise CenterError("curve center needs a curve id")
         self.__dict__.update(kind=kind, a=a, b=b, index=index, new_id=new_id)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kind, self.a, self.b, self.index, self.new_id) ==
-                (other.kind, other.a, other.b, other.index, other.new_id))
-
-    def __hash__(self):
-        return hash((self.kind, self.a, self.b, self.index, self.new_id))
-
 
 def _stored_center(kind, a, b=None, index=0):
     """A center read off a Config's sorted storage: a curve id, or a
@@ -90,10 +81,12 @@ def free(new_id=None):
 
 
 def fresh_id(config, prefix="E"):
-    """First unused id of the form prefix + number.  The number found is
-    kept on config and carried through blow_up, blow_down and
-    add_unit_curve, so a chain of moves does not rescan the ids."""
-    return config._free_id(prefix)
+    """First unused id of the form prefix + number, number = 1, 2, ..."""
+    cm = config.curve_map
+    k = 1
+    while f"{prefix}{k}" in cm:
+        k += 1
+    return f"{prefix}{k}"
 
 
 def _check_center(config, center):

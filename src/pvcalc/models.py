@@ -21,7 +21,7 @@ from .birational import (_centers, at_point, blow_down, blow_up,
 from .errors import ConfigError, GeneratorError, PvError
 from .motring import HodgePoly
 from .pvint import e_invariant
-from .surface import (Config, Curve, _fields_repr, euler_complement,
+from .surface import (Config, Curve, _Value, euler_complement,
                       is_connected, plane, ruled, validate)
 
 
@@ -120,12 +120,11 @@ def plane_conic(d=2):
                   curves=(Curve("B", 0, 4, Fraction(-1, 2)),), points=())
 
 
-class PipelineStep:
+class PipelineStep(_Value):
     """One step of a scripted pipeline; mutable and unhashable.
     Unpacks as (label, config, invariant)."""
 
     _fields = ("label", "config", "invariant", "delta", "exceptional")
-    __repr__ = _fields_repr
 
     def __init__(self, label, config, invariant, delta, exceptional):
         self.label = label
@@ -133,14 +132,6 @@ class PipelineStep:
         self.invariant = invariant
         self.delta = delta
         self.exceptional = exceptional
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.label, self.config, self.invariant, self.delta,
-                 self.exceptional) ==
-                (other.label, other.config, other.invariant, other.delta,
-                 other.exceptional))
 
     def __iter__(self):
         yield self.label

@@ -18,6 +18,7 @@ from functools import cached_property, lru_cache
 from itertools import islice
 import json
 from math import lcm
+from operator import attrgetter
 import re
 
 from .errors import ConfigError, SchemaError
@@ -47,23 +48,40 @@ def _as_fraction(a):
 # ---- value types ------------------------------------------------------
 
 
-def _fields_repr(self):
-    """Name(field=value, ...) over the fields named in self._fields."""
-    args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-    return f"{type(self).__name__}({args})"
+class _Value:
+    """Base of the package's value types; the mutable ones derive from
+    it directly and are unhashable.
 
-
-class _Frozen:
-    """Base of the package's immutable value types.
-
-    A subclass names its fields in _fields, stores them through
-    self.__dict__ in its own __init__, and writes out its own __eq__
-    (only against the same class, field by field) and __hash__ (of the
-    tuple of fields), so that no hot call loops over the fields.
-    Assigning or deleting an attribute raises AttributeError.
+    A subclass names its fields in _fields.  Its values are equal when
+    they are of the same class and their fields are equal; the repr is
+    Name(field=value, ...).  _key, set once per class, reads the fields
+    as a tuple (as the field itself when there is only one).
     """
 
-    __repr__ = _fields_repr
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if hasattr(cls, "_fields"):     # not _Frozen, which has none
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class _Frozen(_Value):
+    """Base of the package's immutable value types: a subclass stores
+    its fields through self.__dict__ in its own __init__, hashes as the
+    tuple of its fields, and assigning or deleting an attribute raises
+    AttributeError."""
+
+    def __hash__(self):
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -95,18 +113,6 @@ class Curve(_Frozen):
         self.__dict__.update(id=id, genus=genus, self_int=self_int,
                              alpha=alpha, count_trace=count_trace)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.id, self.genus, self.self_int, self.alpha,
-                 self.count_trace) ==
-                (other.id, other.genus, other.self_int, other.alpha,
-                 other.count_trace))
-
-    def __hash__(self):
-        return hash((self.id, self.genus, self.self_int, self.alpha,
-                     self.count_trace))
-
 
 class Config(_Frozen):
     """A curve configuration with exponents, in canonical sorted storage.
@@ -119,37 +125,23 @@ class Config(_Frozen):
     _fields = ("d", "ambient_hodge", "curves", "points")
 
     def __init__(self, d, ambient_hodge, curves=(), points=()):
-        self.__dict__.update(d=d, ambient_hodge=ambient_hodge, curves=curves,
-                             points=points)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.d, self.ambient_hodge, self.curves, self.points) ==
-                (other.d, other.ambient_hodge, other.curves, other.points))
-
-    def __hash__(self):
-        return hash((self.d, self.ambient_hodge, self.curves, self.points))
-
-    def __post_init__(self):
-        """Check the stored fields; sort the curves by id and the points
-        into canonical (a, b, index) triples."""
-        if not _is_int(self.d) or self.d < 1:
+        """Check the arguments; store the curves sorted by id and the
+        points as sorted canonical (a, b, index) triples."""
+        if not _is_int(d) or d < 1:
             raise ConfigError("denominator context d must be a positive integer")
-        if not isinstance(self.ambient_hodge, HodgePoly):
+        if not isinstance(ambient_hodge, HodgePoly):
             raise ConfigError("ambient_hodge must be a HodgePoly")
-        for c in self.curves:
+        for c in curves:
             if not isinstance(c, Curve):
                 raise ConfigError("curves must be Curve instances")
-        curves = tuple(sorted(self.curves, key=lambda c: c.id))
+        curves = tuple(sorted(curves, key=_curve_id))
         ids = [c.id for c in curves]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate curve ids")
         idset = set(ids)
         seen = set()
         pts = []
-        for p in self.points:
+        for p in points:
             a, b, k = self._read_point(p)
             if a not in idset or b not in idset:
                 raise ConfigError(f"point ({a},{b}) references an unknown curve")
@@ -157,7 +149,8 @@ class Config(_Frozen):
                 raise ConfigError(f"duplicate intersection point ({a},{b},{k})")
             seen.add((a, b, k))
             pts.append((a, b, k))
-        self.__dict__.update(curves=curves, points=tuple(sorted(pts)))
+        self.__dict__.update(d=d, ambient_hodge=ambient_hodge, curves=curves,
+                             points=tuple(sorted(pts)))
 
     @staticmethod
     def _read_point(p):
@@ -236,18 +229,6 @@ class Config(_Frozen):
     def _chi(self):
         return euler_complement(self)
 
-    def _free_id(self, prefix):
-        """The first unused id prefix + k, k = 1, 2, ...  The k found is
-        kept on the Config, and _moved carries it, so a chain of moves
-        does not rescan the ids below it."""
-        free = self.__dict__.setdefault("_free", {})
-        k = free.get(prefix, 1)
-        cm = self.curve_map
-        while f"{prefix}{k}" in cm:
-            k += 1
-        free[prefix] = k
-        return f"{prefix}{k}"
-
     def _moved(self, ambient_hodge, curves=(), gone=None, points_out=(),
                points_in=()):
         """The Config self becomes when its ambient class is
@@ -316,11 +297,8 @@ class Config(_Frozen):
                             curves=tuple(lst), points=tuple(pts),
                             curve_map=cm, neighbors=nb, pair_counts=pc,
                             points_per_curve=ppc)
-        cached = self.__dict__
-        if "_chi" in cached:
-            new.__dict__["_chi"] = cached["_chi"] + chi
-        if "_free" in cached:
-            new.__dict__["_free"] = _free_after(cached["_free"], gone)
+        if "_chi" in self.__dict__:
+            new.__dict__["_chi"] = self._chi + chi
         return new
 
 
@@ -360,20 +338,6 @@ def _without(ids, i):
     """The sorted tuple ids with i removed."""
     at = bisect_left(ids, i)
     return ids[:at] + ids[at + 1:]
-
-
-def _free_after(free, gone):
-    """Config._free_id's first unused k per prefix once the curve gone
-    (or none) has left: gone = prefix + j with j below k frees j."""
-    free = dict(free)
-    if gone is not None:
-        for prefix, k in free.items():
-            j = gone[len(prefix):]
-            if (gone.startswith(prefix) and j.isascii() and j.isdigit()
-                    and j[0] != "0" and len(j) <= len(str(k))
-                    and int(j) < k):
-                free[prefix] = int(j)
-    return free
 
 
 # ---- ambient surface classes ----------------------------------------
@@ -559,33 +523,18 @@ class Finding(_Frozen):
     def __init__(self, severity, code, message):
         self.__dict__.update(severity=severity, code=code, message=message)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.severity, self.code, self.message) ==
-                (other.severity, other.code, other.message))
-
-    def __hash__(self):
-        return hash((self.severity, self.code, self.message))
-
     def __str__(self):
         return f"{self.severity} {self.code}: {self.message}"
 
 
-class Report:
+class Report(_Value):
     """A mutable list of findings; unhashable.  findings defaults to a
     new empty list."""
 
     _fields = ("findings",)
-    __repr__ = _fields_repr
 
     def __init__(self, findings=None):
         self.findings = [] if findings is None else findings
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.findings == other.findings
 
     @property
     def ok(self):

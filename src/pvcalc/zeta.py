@@ -50,18 +50,6 @@ class ResolutionComponent(_Frozen):
         self.__dict__.update(id=id, genus=genus, self_int=self_int, N=N, v=v,
                              trace=trace)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.id, self.genus, self.self_int, self.N, self.v,
-                 self.trace) ==
-                (other.id, other.genus, other.self_int, other.N, other.v,
-                 other.trace))
-
-    def __hash__(self):
-        return hash((self.id, self.genus, self.self_int, self.N, self.v,
-                     self.trace))
-
 
 class SurfaceResolutionDatum(_Frozen):
     """The data of one exceptional surface E_j.
@@ -109,18 +97,6 @@ class SurfaceResolutionDatum(_Frozen):
                              points=tuple(sorted(pts)),
                              creation_genus=creation_genus)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.nj, self.vj, self.surface_hodge, self.creation,
-                 self.components, self.points, self.creation_genus) ==
-                (other.nj, other.vj, other.surface_hodge, other.creation,
-                 other.components, other.points, other.creation_genus))
-
-    def __hash__(self):
-        return hash((self.nj, self.vj, self.surface_hodge, self.creation,
-                     self.components, self.points, self.creation_genus))
-
 
 def alphas_from_numerical(datum):
     """Exponents alpha_i = v_i - (v_j/N_j) N_i, all required nonzero."""
@@ -148,13 +124,18 @@ def build_config(datum):
                   curves=curves, points=tuple(points))
 
 
-def residue_contribution(datum):
-    """R for this E_j: the invariant of the induced configuration."""
+def _residue(datum):
+    """(cfg, R): the induced configuration, checked, and its invariant."""
     cfg = build_config(datum)
     rep = validate(cfg)
     if not rep.ok:
         raise DataError("numerical data is inconsistent:\n" + str(rep))
-    return invariant_sum(cfg)
+    return cfg, invariant_sum(cfg)
+
+
+def residue_contribution(datum):
+    """R for this E_j: the invariant of the induced configuration."""
+    return _residue(datum)[1]
 
 
 # ---- formal zeta-function side ----------------------------------------
@@ -193,12 +174,6 @@ class ZMotDatum(_Frozen):
             if not isinstance(h, HodgePoly):
                 raise DataError("stratum classes must be HodgePoly")
         self.__dict__.update(n=n, strata=strata, numerical=numerical)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.n, self.strata, self.numerical) ==
-                (other.n, other.strata, other.numerical))
 
     def __hash__(self):
         return hash((self.n, self.strata))
@@ -281,11 +256,7 @@ def pole_report(datum):
     """
     rep = Report()
     try:
-        cfg = build_config(datum)
-        vrep = validate(cfg)
-        if not vrep.ok:
-            raise DataError("numerical data is inconsistent:\n" + str(vrep))
-        R = invariant_sum(cfg)
+        cfg, R = _residue(datum)
     except (GenericityError, DataError) as exc:
         rep.add("error", "data", str(exc))
         return rep

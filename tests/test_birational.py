@@ -386,13 +386,13 @@ def test_local_delta_builds_no_config(monkeypatch):
     cases += [(chain, center)
               for center in candidate_centers(chain)[::9] + [free()]]
     built = []
-    init = Config.__post_init__
+    init = Config.__init__
 
-    def counting_init(self):
+    def counting_init(self, *args, **kwargs):
         built.append(self)
-        init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Config, "__post_init__", counting_init)
+    monkeypatch.setattr(Config, "__init__", counting_init)
     for cfg, center in cases:
         invariance_delta(cfg, center)
     assert len(built) == 0

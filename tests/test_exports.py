@@ -151,6 +151,24 @@ def test_values_differ_by_each_field():
     assert Report() == Report([]) != Report([Finding("info", "chi", "x")])
 
 
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_every_field_counts(name):
+    """Equality reads every field in _fields, and the hash is that of
+    the tuple of fields, except that ZMotDatum's leaves numerical out."""
+    build = VALUES[name][0]
+    a = build()
+    if type(a).__hash__ is not None:
+        hashed = [f for f in a._fields
+                  if (name, f) != ("ZMotDatum", "numerical")]
+        assert hash(a) == hash(tuple(getattr(a, f) for f in hashed))
+    for field in a._fields:
+        b = build()
+        vars(b)[field] = object()       # unequal to any field value
+        assert a != b and b != a
+        if field == "numerical":
+            assert hash(a) == hash(b)
+
+
 def test_keyword_construction_and_defaults():
     assert Curve(id="A", genus=0, self_int=-1, alpha="1/2") == _curve()
     assert _curve().count_trace == 0
