@@ -5,7 +5,10 @@ Builds random_config(3) and blows it up 160 times at non-exceptional
 on-divisor centers drawn with random.Random(1).  After 40, 80 and 160
 blow-ups it times invariant_sum (best of 3, caches cleared before each
 call) and, in one separate untimed call, counts the kernel work:
-pcyclo_mul calls and the monomials that the kernel ops put out.
+pcyclo_mul calls and the monomials that the kernel ops put out.  It
+also times invariant_sum's stages on their own (best of 3 each, from
+cold): the exponent table, the walk over the strata and curves, the
+stratum terms and the ring_sum of them.
 
 Then it captures the inputs of every ring_sum call in one pass of the
 perfbench sweep and residue workloads (seed 1) and times ring_sum over
@@ -51,23 +54,57 @@ def chain_checkpoints():
     return out
 
 
-def clear_caches():
+def clear_caches(cfg):
     """Clear invariant_sum's cache, its term cache, the stratum class
-    caches and lfactor's, so each timed call sums from cold."""
+    caches, lfactor's and cfg's exponent table, so each timed call sums
+    from cold."""
     for cache in (invariant_sum, pvint._term, surface._curve_stratum,
                   surface._point_class, motring._lfactor_cached):
         cache.cache_clear()
+    cfg.__dict__.pop("exponents", None)     # a cached_property's slot
 
 
 def best_time(cfg, repeat=3):
     best = None
     for _ in range(repeat):
-        clear_caches()
+        clear_caches(cfg)
         t0 = time.perf_counter()
         result = invariant_sum(cfg)
         elapsed = time.perf_counter() - t0
         best = elapsed if best is None else min(best, elapsed)
     return best, result
+
+
+STAGES = ("exponents", "walk", "terms", "sum")
+
+
+def stage_times(cfg, repeat=3):
+    """Seconds of each stage of invariant_sum, best of repeat passes
+    from cold: the exponent table, the strata and curve data, the
+    stratum terms and their ring_sum.  The stages redo invariant_sum's
+    body, so the pass must reach its stored result."""
+    best = dict.fromkeys(STAGES, float("inf"))
+    want = invariant_sum(cfg)
+    for _ in range(repeat):
+        clear_caches(cfg)
+        t0 = time.perf_counter()
+        ex = cfg.exponents
+        t1 = time.perf_counter()
+        strata = [(tuple(ex[i] for i in ids), h)
+                  for ids, h in surface.strata(cfg)]
+        curves = pvint.curve_data(cfg, [i for i, m in ex.items() if not m])
+        t2 = time.perf_counter()
+        terms = pvint.stratum_terms(strata, curves, cfg.d)
+        t3 = time.perf_counter()
+        result = motring.ring_sum(terms, cfg.d)
+        t4 = time.perf_counter()
+        for name, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2,
+                                          t4 - t3)):
+            best[name] = min(best[name], seconds)
+        if (result.num, result.wpow, result.cyclo) != (want.num, want.wpow,
+                                                       want.cyclo):
+            raise SystemExit("the staged sum differs from invariant_sum")
+    return best
 
 
 def kernel_counts(cfg):
@@ -90,7 +127,7 @@ def kernel_counts(cfg):
     for op, fn in originals.items():
         setattr(kernel, op, counting(op, fn))
     try:
-        clear_caches()
+        clear_caches(cfg)
         invariant_sum(cfg)
     finally:
         for op, fn in originals.items():
@@ -148,13 +185,17 @@ def main():
     rows = []
     for blowups, cfg in chain_checkpoints().items():
         seconds, result = best_time(cfg)
+        stages = stage_times(cfg)
         row = {"blowups": blowups, "curves": len(cfg.curves),
                "invariant_sum_s": seconds, "is_zero": result.is_zero(),
-               **kernel_counts(cfg)}
+               **kernel_counts(cfg),
+               "stages_s": stages}
         rows.append(row)
         print(f"{blowups:>4} blow-ups  {row['curves']:>4} curves  "
               f"{seconds:9.4f} s  pcyclo_mul {row['pcyclo_mul_calls']:>7}  "
               f"monomials out {row['terms_out']:>9}  zero {row['is_zero']}")
+        print("      stages  " + "  ".join(
+            f"{name} {stages[name] * 1e3:.3f} ms" for name in STAGES))
 
     small = []
     for name in SMALL_SUM_WORKLOADS:
@@ -171,6 +212,8 @@ def main():
         "chain": "random_config(3), non-exceptional on-divisor blow-ups "
                  "drawn with random.Random(1)",
         "timing": "best of 3, caches cleared before each call",
+        "stages": "stages_s: invariant_sum's stages timed apart, best of 3 "
+                  "from cold: " + ", ".join(STAGES),
         "kernel": kernel.IMPL_NAME,
         "python": platform.python_version(),
         "nproc": os.cpu_count(),

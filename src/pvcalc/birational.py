@@ -128,13 +128,12 @@ def _shifted(c, step):
 
 def _blow_up_preconditions(config, center):
     """Check that config can be blown up at center, as blow_up and
-    invariance_delta both need; returns (touched, e).
+    invariance_delta both need; returns (touched, new_id).
 
     config must pass validation and center must lie on it; the id of
     the new curve, given or fresh, must be unused and a curve id.
-    touched holds the curves through the center, in id order, and e is
-    the exceptional curve: genus 0, self-intersection -1 and alpha_E by
-    the sum rule.
+    touched holds the curves through the center, in id order, and
+    new_id is the id of the exceptional curve.
     """
     rep = validate(config)
     if not rep.ok:
@@ -144,8 +143,7 @@ def _blow_up_preconditions(config, center):
     new_id = center.new_id or fresh_id(config)
     if new_id in config.curve_map:
         raise CenterError(f"id {new_id!r} is already in use")
-    alpha = sum((config.curve(i).alpha for i in touched), 0) + 2 - len(touched)
-    return touched, Curve(new_id, 0, -1, alpha)
+    return touched, new_id
 
 
 def blow_up(config, center):
@@ -187,8 +185,11 @@ def blow_up(config, center):
     change, since only their neighbours do.  A move thus costs what it
     touches, not the size of the configuration.
     """
-    touched, e = _blow_up_preconditions(config, center)
+    touched, new_id = _blow_up_preconditions(config, center)
     cm = config.curve_map
+    # E: genus 0, self-intersection -1 and alpha_E by the sum rule
+    e = Curve(new_id, 0, -1,
+              sum((cm[i].alpha for i in touched), 0) + 2 - len(touched))
     out = (((center.a, center.b, center.index),) if center.kind == "point"
            else ())
     new_points = sorted((i, e.id, 0) if i < e.id else (e.id, i, 0)
@@ -408,39 +409,43 @@ def invariance_delta(config, center):
       at a point center whose pair met once, the two branches no longer
       meet; E has self-intersection -1 and the curves of T as neighbors.
     pvint.stratum_terms builds these terms, as it builds invariant_sum's,
-    so a stratum counts only when all its curves have alpha != 0.  The
+    so a stratum counts only when all its curves have alpha != 0.  It
+    takes the integer exponents m = alpha*d of config.exponents, and
+    E's is the integer sum rule sum over T of m_i + (2 - |T|) * d.  The
     work thus follows the number of curves through the center, not the
     size of the configuration.
     """
-    touched, e = _blow_up_preconditions(config, center)
+    touched, new_id = _blow_up_preconditions(config, center)
     d = config.d
     cm = config.curve_map
-    alphas = tuple(cm[i].alpha for i in touched)
+    ex = config.exponents
+    ms = tuple(ex[i] for i in touched)
+    me = sum(ms) + (2 - len(touched)) * d
     before, after, parted = [], [], set()
     if center.kind == "point":
         n = config.pair_counts[touched]
-        before.append((alphas, _point_class(n)))
-        after.append((alphas, _point_class(n - 1)))
+        before.append((ms, _point_class(n)))
+        after.append((ms, _point_class(n - 1)))
         if n == 1:      # the pair's only point: the branches stop meeting
             parted = set(touched)
     elif center.kind == "curve":
         c = cm[center.a]
         n = config.points_per_curve[c.id]
-        before.append((alphas, _curve_stratum(c.genus, n)))
-        after.append((alphas, _curve_stratum(c.genus, n + 1)))
+        before.append((ms, _curve_stratum(c.genus, n)))
+        after.append((ms, _curve_stratum(c.genus, n + 1)))
     old = stratum_terms(before, curve_data(config, touched), d)
 
-    def alpha(i):
-        return e.alpha if i == e.id else cm[i].alpha
+    def m(i):
+        return me if i == new_id else ex[i]
 
-    after.append(((e.alpha,), _curve_stratum(0, len(touched))))
-    after += [(tuple(alpha(j) for j in sorted((i, e.id))), _point_class(1))
+    after.append(((me,), _curve_stratum(0, len(touched))))
+    after += [(tuple(m(j) for j in sorted((i, new_id))), _point_class(1))
               for i in touched]
-    curves = [(cm[i].alpha, cm[i].self_int - 1,
-               [alpha(j) for j in sorted(
-                   set(config.neighbors[i]) - parted | {e.id})])
+    curves = [(ex[i], cm[i].self_int - 1,
+               [m(j) for j in sorted(
+                   set(config.neighbors[i]) - parted | {new_id})])
               for i in touched]
-    curves.append((e.alpha, -1, alphas))
+    curves.append((me, -1, ms))
     new = stratum_terms(after, curves, d)
     open_delta = from_int(len(touched) - (center.kind == "point") - 1, d)
     return ring_sum([open_delta] + new + [-t for t in old], d)

@@ -243,11 +243,17 @@ def _uv_monomial(eu, ev, coeff):
 
 def _as_exponent(a, d):
     """a*d as an int, or raise."""
-    f = Fraction(a)
+    f = a if isinstance(a, Fraction) else Fraction(a)
     m, r = divmod(f.numerator * d, f.denominator)
     if r:
         raise ExponentError(f"exponent {a} is not a multiple of 1/{d}")
     return m
+
+
+def _check_context(d):
+    """Raise unless d is a valid level."""
+    if d < 1:
+        raise ContextError(f"invalid context d = {d}")
 
 
 def _check_wdeg(c):
@@ -314,11 +320,21 @@ def _store(x, d, num, wpow, cyclo):
     return x
 
 
+def _make(d, num, wpow=0, cyclo=()):
+    """The RingElem of data the ring built itself, normalized as
+    RingElem(...) does but neither checked nor copied: num is a fresh
+    kernel dict, wpow >= 0 and cyclo a tuple of factors k >= 1."""
+    return _store(object.__new__(RingElem), d,
+                  *_normalize(d, num, wpow, cyclo))
+
+
 class RingElem:
     """One element of the level-d realization ring.
 
     Low-level constructor: takes numerator dict (kernel encoding),
-    denominator w-power and (w^k - 1) factor multiset, and normalizes.
+    denominator w-power and (w^k - 1) factor multiset, checks them,
+    copies the dict and normalizes; the ring's own products, sums and
+    constructors build through _make, which neither checks nor copies.
     Prefer from_hodge / from_int / lpow / lfactor.  Instances are
     immutable by convention.
     """
@@ -326,8 +342,7 @@ class RingElem:
     __slots__ = ("d", "num", "wpow", "cyclo")
 
     def __init__(self, d, num, wpow=0, cyclo=()):
-        if d < 1:
-            raise ContextError(f"invalid context d = {d}")
+        _check_context(d)
         if wpow < 0 or any(k < 1 for k in cyclo):
             raise ValueError("invalid denominator data")
         _store(self, d, *_normalize(d, dict(num), wpow, tuple(cyclo)))
@@ -384,12 +399,8 @@ class RingElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RingElem(
-            self.d,
-            K.pmul(self.num, other.num, self.d),
-            self.wpow + other.wpow,
-            self.cyclo + other.cyclo,
-        )
+        return _make(self.d, K.pmul(self.num, other.num, self.d),
+                     self.wpow + other.wpow, self.cyclo + other.cyclo)
 
     __rmul__ = __mul__
 
@@ -432,7 +443,8 @@ def one(d):
 
 
 def from_int(n, d):
-    return RingElem(d, {0: int(n)} if n else {})
+    _check_context(d)
+    return _make(d, {0: int(n)} if n else {})
 
 
 def from_hodge(h, d):
@@ -444,7 +456,8 @@ def from_hodge(h, d):
         _check_wdeg(d * m)
         key = K.mkkey(eu - ev, d * m)
         num[key] = num.get(key, 0) + coeff
-    return RingElem(d, {k: v for k, v in num.items() if v})
+    _check_context(d)
+    return _make(d, {k: v for k, v in num.items() if v})
 
 
 def lpow(a, d):
@@ -461,20 +474,25 @@ def lpow(a, d):
 def _lfactor_cached(m, d):
     # (L - 1) / (L^(m/d) - 1) with m = a*d != 0
     _check_wdeg(d + abs(m))
+    _check_context(d)
     top = {K.mkkey(0, d): 1, 0: -1}
     if m > 0:
-        return RingElem(d, top, cyclo=(m,))
+        return _make(d, top, cyclo=(m,))
     # (w^m - 1) with m < 0 equals -(w^|m| - 1) / w^|m|
     num = K.pneg(K.pshift(top, -m))
-    return RingElem(d, num, cyclo=(-m,))
+    return _make(d, num, cyclo=(-m,))
+
+
+def _lfactor_exp(m, d):
+    """lfactor of the exponent m/d, given as the integer m."""
+    if m == 0:
+        raise LogPoleError("lfactor(0): logarithmic pole in the first sum")
+    return _lfactor_cached(m, d)
 
 
 def lfactor(a, d):
     """(L - 1) / (L^a - 1).  A zero exponent is a logarithmic pole."""
-    m = _as_exponent(a, d)
-    if m == 0:
-        raise LogPoleError("lfactor(0): logarithmic pole in the first sum")
-    return _lfactor_cached(m, d)
+    return _lfactor_exp(_as_exponent(a, d), d)
 
 
 def is_zero(x):
@@ -639,9 +657,9 @@ def ring_sum(terms, d=None):
     if len(groups) == 1:
         # nothing to lift: the numerators already share one denominator
         (wpow, cyclo), num = groups.popitem()
-        return RingElem(d0, num, wpow, cyclo)
+        return _make(d0, num, wpow, cyclo)
     wp, union, acc = _lift_and_add(groups)
-    return RingElem(d0, acc, wp, _cyclo(union))
+    return _make(d0, acc, wp, _cyclo(union))
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,18 @@ invariant, and the point-count specialization corrects it per curve.
 stratum_terms is the one builder of these terms: invariant_sum applies
 it to every stratum and curve, birational.invariance_delta to the
 strata and curves a blow-up changes, before and after it.  It alone
-decides which strata count; motring._as_exponent is the one conversion
-of an alpha to its integer exponent alpha*d.  It takes plain data, a
-stratum as its alphas and class and a curve as its alpha,
-self-intersection and neighbor alphas, so that the after side of a
-blow-up is summed without building the blown-up configuration.
+decides which strata count.  It works on the integer exponents
+m = alpha*d, which Config.exponents converts once per configuration,
+and takes plain data, a stratum as its exponents and class and a curve
+as its exponent, self-intersection and neighbor exponents, so that the
+after side of a blow-up is summed without building the blown-up
+configuration.
 """
 
 from functools import lru_cache
 
 from .errors import ContextError, LogPoleError, ValidationError
-from .motring import (HodgePoly, _as_exponent, _lfactor_cached, from_hodge,
+from .motring import (HodgePoly, _lfactor_cached, _lfactor_exp, from_hodge,
                       from_int, lfactor, lpow, numeric_eval, ring_sum)
 from .surface import strata, validate
 
@@ -35,54 +36,54 @@ def invariant_sum(config):
     validation (the all-exponents-one partition identity, for one).
 
     The terms are those stratum_terms builds for every stratum of
-    strata() and every curve, in that order, so the stored result is
-    that of the plain loop.
+    strata() and every curve with exponent 0 (no other curve gives a
+    term), in that order, so the stored result is that of the plain
+    loop.  An alpha outside (1/d) Z raises the ExponentError of
+    config.exponents.
 
     The cache is small on purpose: it serves callers that sum an equal
     Config twice in a row (residue_contribution, then pole_report),
     while an unbounded one would keep every Config summed alive.
     """
-    cm = config.curve_map
+    ex = config.exponents
     return ring_sum(stratum_terms(
-        [(tuple(cm[i].alpha for i in ids), h) for ids, h in strata(config)],
-        curve_data(config, [c.id for c in config.curves]), config.d),
+        [(tuple(ex[i] for i in ids), h) for ids, h in strata(config)],
+        curve_data(config, [i for i, m in ex.items() if not m]), config.d),
         config.d)
 
 
 def curve_data(config, ids):
-    """(alpha, self_int, neighbor alphas in id order) of each curve of
-    ids, as stratum_terms takes them."""
+    """(m, self_int, neighbor exponents in id order) of each curve of
+    ids, as stratum_terms takes them, with exponents read from
+    config.exponents."""
     cm = config.curve_map
     nb = config.neighbors
-    return [(cm[i].alpha, cm[i].self_int, [cm[j].alpha for j in nb[i]])
-            for i in ids]
+    ex = config.exponents
+    return [(ex[i], cm[i].self_int, [ex[j] for j in nb[i]]) for i in ids]
 
 
 def stratum_terms(strata, curves, d):
     """The terms of the given strata and curves, in order, with
     denominator context d.
 
-    strata holds (alphas, class) pairs: the exponents of the curves
-    through a stratum, in id order, and its class.  A stratum counts
-    when every one of its alphas is nonzero (the open stratum, with no
-    alphas, always does); its term is its class times lfactor(alpha)
-    for each alpha, in order.  curves holds (alpha, self_int, neighbor
-    alphas) triples, as curve_data gives them: each curve with alpha = 0
-    and nonzero self-intersection gives minus its self-intersection
-    times the lfactor of each neighbor alpha, in order.  An alpha
-    outside (1/d) Z raises ExponentError, an alpha = 0 neighbor of a
-    counted alpha = 0 curve LogPoleError, as lfactor does.
+    Every exponent here is an integer m = alpha*d, as Config.exponents
+    gives it.  strata holds (exponents, class) pairs: the exponents of
+    the curves through a stratum, in id order, and its class.  A
+    stratum counts when every one of its exponents is nonzero (the open
+    stratum, with none, always does); its term is its class times
+    lfactor(m/d) for each m, in order.  curves holds (m, self_int,
+    neighbor exponents) triples, as curve_data gives them: each curve
+    with m = 0 and nonzero self-intersection gives minus its
+    self-intersection times the lfactor of each neighbor exponent, in
+    order.  A zero neighbor exponent of a counted m = 0 curve raises
+    LogPoleError, as lfactor does.
     """
-    counted = [(h, tuple(_as_exponent(a, d) for a in alphas))
-               for alphas, h in strata if all(alphas)]
-    # every exponent is read before a term is built, so an alpha outside
-    # (1/d) Z is reported ahead of a packed-key overflow in some term
-    terms = [_term(tuple(h.items()), ms, d) for h, ms in counted]
-    for alpha, self_int, nbs in curves:
-        if alpha == 0 and self_int != 0:
+    terms = [_term(tuple(h.items()), ms, d) for ms, h in strata if all(ms)]
+    for m, self_int, nbs in curves:
+        if m == 0 and self_int != 0:
             t = from_int(-self_int, d)
-            for a in nbs:
-                t = t * lfactor(a, d)
+            for mj in nbs:
+                t = t * _lfactor_exp(mj, d)
             terms.append(t)
     return terms
 

@@ -22,7 +22,7 @@ from operator import attrgetter
 import re
 
 from .errors import ConfigError, SchemaError
-from .motring import HodgePoly, _is_int
+from .motring import HodgePoly, _as_exponent, _is_int
 
 
 _RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
@@ -131,6 +131,7 @@ class Config(_Frozen):
             raise ConfigError("denominator context d must be a positive integer")
         if not isinstance(ambient_hodge, HodgePoly):
             raise ConfigError("ambient_hodge must be a HodgePoly")
+        curves = list(curves)
         for c in curves:
             if not isinstance(c, Curve):
                 raise ConfigError("curves must be Curve instances")
@@ -178,6 +179,14 @@ class Config(_Frozen):
     @cached_property
     def curve_map(self):
         return {c.id: c for c in self.curves}
+
+    @cached_property
+    def exponents(self):
+        """id -> the integer alpha*d, in id order, built once per
+        Config.  An alpha outside (1/d) Z raises ExponentError, naming
+        the first such curve in id order."""
+        d = self.d
+        return {c.id: _as_exponent(c.alpha, d) for c in self.curves}
 
     @cached_property
     def neighbors(self):
@@ -242,7 +251,8 @@ class Config(_Frozen):
         points_in new to the result on its curves, and gone with all
         its points in points_out.  The curves and points that change
         are placed by bisection; the derived views are self's with
-        local updates, in the key order a fresh build gives; chi, when
+        local updates, in the key order a fresh build gives (exponents
+        is left to its first use); chi, when
         self knows it, changes by the Euler numbers of what joins and
         leaves.  So the work follows what the move touches, apart from
         copying tuples and dicts and rebuilding a view that a new key
@@ -452,8 +462,9 @@ def _exponent_tally(config):
     """The integer data behind adjunction and allowedness, in one pass.
 
     With D the lcm of d and every alpha's denominator (D = d when all
-    exponents lie in (1/d) Z), m_i = alpha_i * D is an integer and the
-    adjunction identity of curve i reads
+    exponents lie in (1/d) Z, and then m is config.exponents),
+    m_i = alpha_i * D is an integer and the adjunction identity of
+    curve i reads
     m_i * s_i + sum over l of (m_l - D) * n_il == D * (2 g_i - 2).
     Returns (D, m, defect, special, log_pair): defect[i] is the left
     side minus the right, special[i] counts the points of an alpha = 0
@@ -462,8 +473,11 @@ def _exponent_tally(config):
     """
     curves = config.curves
     scale = lcm(config.d, *(c.alpha.denominator for c in curves))
-    m = {c.id: c.alpha.numerator * (scale // c.alpha.denominator)
-         for c in curves}
+    if scale == config.d:
+        m = config.exponents
+    else:
+        m = {c.id: c.alpha.numerator * (scale // c.alpha.denominator)
+             for c in curves}
     defect = {c.id: m[c.id] * c.self_int - scale * (2 * c.genus - 2)
               for c in curves}
     special = {}

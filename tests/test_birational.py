@@ -1,5 +1,6 @@
 """Blow-ups and blow-downs: bookkeeping, inverses, exceptional centers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -481,7 +482,8 @@ def test_blow_up_findings_cases():
 
 # ---- moves against fresh builds -------------------------------------------
 
-VIEWS = ("curve_map", "neighbors", "pair_counts", "points_per_curve")
+VIEWS = ("curve_map", "neighbors", "pair_counts", "points_per_curve",
+         "exponents")
 MOVES = st.tuples(st.sampled_from(("up", "down", "unit")),
                   st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
                   st.booleans())
@@ -560,3 +562,25 @@ def test_moves_match_fresh_builds(cfg, moves):
             check_like_fresh(cfg)
         cfg = move(cfg, kind, i, j) or cfg
     check_like_fresh(cfg)
+
+
+def test_exponents_along_a_move_chain():
+    """Each Config that blow_up or blow_down builds leaves its exponent
+    table to first use; along a 200-step chain the table then equals a
+    fresh build's, alpha*d of each curve in id order."""
+    rng = random.Random(2)
+    cfg = random_config(3)
+    steps = {"up": 0, "down": 0}
+    while sum(steps.values()) < 200:
+        kind = rng.choice(("up", "up", "down"))
+        after = move(cfg, kind, rng.randrange(10 ** 6), rng.randrange(10 ** 6))
+        if after is None:
+            continue
+        steps[kind] += 1
+        assert "exponents" not in vars(after)
+        cfg = after
+        ex = cfg.exponents
+        assert ex == fresh(cfg).exponents
+        assert list(ex) == [c.id for c in cfg.curves]
+        assert all(ex[c.id] == c.alpha * cfg.d for c in cfg.curves)
+    assert min(steps.values()) > 50

@@ -128,6 +128,26 @@ def test_large_cyclo_factor_sums_stay_fast():
     assert euler_realize(x) == 1 + F(1, n)
 
 
+def test_public_constructor_checks_its_arguments():
+    """RingElem(...) checks and copies what it is given; only the
+    ring's own results skip that."""
+    with pytest.raises(ContextError):
+        RingElem(0, {})
+    with pytest.raises(ValueError):
+        RingElem(1, {0: 1}, wpow=-1)
+    for cyclo in ((0,), (2, -1)):
+        with pytest.raises(ValueError):
+            RingElem(1, {0: 1}, cyclo=cyclo)
+    num = {0: 1}
+    x = RingElem(1, num)
+    num[0] = 5
+    assert x.num == {0: 1}
+    for build in (lambda: from_int(1, 0), lambda: lfactor(1, -1),
+                  lambda: from_hodge(HodgePoly.one(), 0)):
+        with pytest.raises(ContextError, match="invalid context"):
+            build()
+
+
 def test_mixed_context_rejected():
     with pytest.raises(ContextError):
         lpow(1, 2) == lpow(1, 3)

@@ -288,10 +288,21 @@ def test_invariant_sum_errors_on_invalid_configs():
     for fn in (invariant_sum, reference_invariant_sum):
         with pytest.raises(ExponentError, match="exponent -1/3 is not a"):
             fn(offgrid)
+    # of two alphas off the grid, the first in id order is named
+    two_off = Config(2, plane(), [Curve("B", 0, 4, F(1, 3)),
+                                  Curve("C", 0, 4, F(1, 2)),
+                                  Curve("A", 0, 4, F(-1, 5))], [("A", "B")])
+    for fn in (invariant_sum, lambda c: c.exponents):
+        with pytest.raises(ExponentError) as exc:
+            fn(two_off)
+        assert str(exc.value) == "exponent -1/5 is not a multiple of 1/2"
     log_pair = Config(1, ruled(0),
                       [Curve("A", 0, 0, 0), Curve("B", 0, -4, 0),
                        Curve("U1", 0, 0, 1), Curve("U2", 0, 0, 1)],
                       [("A", "B"), ("A", "U1"), ("B", "U2")])
-    for fn in (invariant_sum, reference_invariant_sum):
-        with pytest.raises(LogPoleError):
+    for fn in (invariant_sum, reference_invariant_sum,
+               lambda c: lfactor(0, c.d)):
+        with pytest.raises(LogPoleError) as exc:
             fn(log_pair)
+        assert str(exc.value) == \
+            "lfactor(0): logarithmic pole in the first sum"

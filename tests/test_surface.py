@@ -76,6 +76,26 @@ def test_config_structural_checks():
                    [point])
 
 
+def test_config_reads_curves_once():
+    """curves may be any iterable, a generator included: it is read
+    once, into the list that the type check and the sort share."""
+    curves = (Curve("B", 0, 1, 1), Curve("A", 0, 1, 1))
+    points = [("A", "B")]
+    made = Config(2, plane(), (c for c in curves), points)
+    assert made == Config(2, plane(), curves, points)
+    assert [c.id for c in made.curves] == ["A", "B"]
+
+
+def test_exponents_are_alpha_times_d():
+    for seed in range(60):
+        cfg = random_config(seed)
+        ex = cfg.exponents
+        assert list(ex) == [c.id for c in cfg.curves]
+        for c in cfg.curves:
+            assert type(ex[c.id]) is int and ex[c.id] == c.alpha * cfg.d
+        assert cfg.exponents is ex          # computed once per Config
+
+
 def test_points_are_canonicalized():
     a = Config(2, plane(),
                [Curve("A", 0, 1, 1), Curve("B", 0, 1, 1)],
