@@ -411,7 +411,10 @@ def invariance_delta(config, center):
     pvint.stratum_terms builds these terms, as it builds invariant_sum's,
     so a stratum counts only when all its curves have alpha != 0.  It
     takes the integer exponents m = alpha*d of config.exponents, and
-    E's is the integer sum rule sum over T of m_i + (2 - |T|) * d.  The
+    E's is the integer sum rule sum over T of m_i + (2 - |T|) * d.  A
+    Config builds that table once, and blow_up and blow_down carry it
+    to the Configs they build, converting only the curves they change.
+    Once config has its table (and its findings, as validate needs), the
     work thus follows the number of curves through the center, not the
     size of the configuration.
     """

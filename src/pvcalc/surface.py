@@ -251,12 +251,12 @@ class Config(_Frozen):
         points_in new to the result on its curves, and gone with all
         its points in points_out.  The curves and points that change
         are placed by bisection; the derived views are self's with
-        local updates, in the key order a fresh build gives (exponents
-        is left to its first use); chi, when
-        self knows it, changes by the Euler numbers of what joins and
-        leaves.  So the work follows what the move touches, apart from
-        copying tuples and dicts and rebuilding a view that a new key
-        joins other than at its end.
+        local updates, in the key order a fresh build gives, the
+        exponent table too when self has built it; chi, when self knows
+        it, changes by the Euler numbers of what joins and leaves.  So
+        the work follows what the move touches, apart from copying
+        tuples and dicts and rebuilding a view that a new key joins
+        other than at its end.
         """
         old = self.curve_map
         joining = sorted((c.id, c) for c in curves if c.id not in old)
@@ -309,6 +309,12 @@ class Config(_Frozen):
                             points_per_curve=ppc)
         if "_chi" in self.__dict__:
             new.__dict__["_chi"] = self._chi + chi
+        if "exponents" in self.__dict__:
+            ex = _merged(self.exponents, [(i, 0) for i, _ in joining])
+            ex.update((c.id, _as_exponent(c.alpha, self.d)) for c in curves)
+            if gone is not None:
+                del ex[gone]
+            new.__dict__["exponents"] = ex
         return new
 
 
@@ -462,9 +468,8 @@ def _exponent_tally(config):
     """The integer data behind adjunction and allowedness, in one pass.
 
     With D the lcm of d and every alpha's denominator (D = d when all
-    exponents lie in (1/d) Z, and then m is config.exponents),
-    m_i = alpha_i * D is an integer and the adjunction identity of
-    curve i reads
+    exponents lie in (1/d) Z), m_i = alpha_i * D is an integer and the
+    adjunction identity of curve i reads
     m_i * s_i + sum over l of (m_l - D) * n_il == D * (2 g_i - 2).
     Returns (D, m, defect, special, log_pair): defect[i] is the left
     side minus the right, special[i] counts the points of an alpha = 0
@@ -473,11 +478,8 @@ def _exponent_tally(config):
     """
     curves = config.curves
     scale = lcm(config.d, *(c.alpha.denominator for c in curves))
-    if scale == config.d:
-        m = config.exponents
-    else:
-        m = {c.id: c.alpha.numerator * (scale // c.alpha.denominator)
-             for c in curves}
+    m = {c.id: c.alpha.numerator * (scale // c.alpha.denominator)
+         for c in curves}
     defect = {c.id: m[c.id] * c.self_int - scale * (2 * c.genus - 2)
               for c in curves}
     special = {}
