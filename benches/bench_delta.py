@@ -23,13 +23,13 @@ import random
 import time
 
 import pvcalc._kernel as kernel
-import pvcalc.motring as motring
-import pvcalc.pvint as pvint
 import pvcalc.surface as surface
 from pvcalc.birational import (blow_up, free, invariance_delta,
                                is_exceptional_center)
 from pvcalc.models import candidate_centers, random_config
 from pvcalc.pvint import e_invariant
+
+from caches import clear_caches
 
 SWEEP_SEEDS = range(40)
 CHECKPOINTS = (40, 80, 160, 320, 640)
@@ -47,12 +47,6 @@ METHODS = {"local": invariance_delta, "full": full_delta}
 def check_equal(local, full):
     if any(a != b for a, b in zip(local, full)):
         raise SystemExit("a local delta differs from the full recompute")
-
-
-def clear_caches():
-    for cache in (pvint.invariant_sum, pvint._term, surface._curve_stratum,
-                  surface._point_class, motring._lfactor_cached):
-        cache.cache_clear()
 
 
 def fresh(config):

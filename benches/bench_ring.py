@@ -34,11 +34,11 @@ from pvcalc.birational import blow_up, is_exceptional_center
 from pvcalc.models import candidate_centers, random_config
 from pvcalc.pvint import invariant_sum
 
+import caches
+
 CHECKPOINTS = (40, 80, 160)
 COUNTED_OPS = ("pcyclo_mul", "pcyclo_div", "pmul", "padd")
 SMALL_SUM_WORKLOADS = ("sweep", "residue")
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench")
 
 
 def chain_checkpoints():
@@ -55,12 +55,9 @@ def chain_checkpoints():
 
 
 def clear_caches(cfg):
-    """Clear invariant_sum's cache, its term cache, the stratum class
-    caches, lfactor's and cfg's exponent table, so each timed call sums
-    from cold."""
-    for cache in (invariant_sum, pvint._term, surface._curve_stratum,
-                  surface._point_class, motring._lfactor_cached):
-        cache.cache_clear()
+    """Clear every pvcalc cache and cfg's exponent table, so each timed
+    call sums from cold."""
+    caches.clear_caches()
     cfg.__dict__.pop("exponents", None)     # a cached_property's slot
 
 
@@ -138,8 +135,7 @@ def kernel_counts(cfg):
 def pass_sums(name):
     """(terms, d) of every ring_sum call in one pass of a perfbench
     workload's ops at seed 1."""
-    sys.path.insert(0, PERFBENCH)
-    import workloads
+    import workloads            # perfbench's, on the path caches puts it
 
     work = workloads.build(name, 1)
     work.prepare()

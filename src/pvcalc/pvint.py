@@ -16,7 +16,9 @@ m = alpha*d, which Config.exponents converts once per configuration,
 and takes plain data, a stratum as its exponents and class and a curve
 as its exponent, self-intersection and neighbor exponents, so that the
 after side of a blow-up is summed without building the blown-up
-configuration.
+configuration.  Each stratum term comes from the _term cache, keyed
+by its class and exponents; a miss builds it from the cached term of
+its class and first exponent.
 """
 
 from functools import lru_cache
@@ -93,9 +95,21 @@ def _term(items, ms, d):
     """from_hodge of the class with these ((eu, ev), coeff) items, times
     lfactor(m/d) for each m in ms, in order.  Keyed by the items in order,
     not by a HodgePoly: equal classes can store their terms in different
-    orders, which from_hodge keeps, so they must not share an entry."""
-    t = from_hodge(HodgePoly(dict(items)), d)
-    for m in ms:
+    orders, which from_hodge keeps, so they must not share an entry.
+
+    A miss starts from the cached term of its prefix, the class alone
+    when ms has one exponent and the class times its first lfactor when
+    it has more, and does the remaining products in order.  That is the
+    plain loop's sequence of operations, so the stored result is the
+    loop's, and the cache also holds the class and one-exponent
+    prefixes, shared by every stratum with the same class and first
+    exponent.  The recursion is at most two calls deep, whatever
+    len(ms)."""
+    if not ms:
+        return from_hodge(HodgePoly(dict(items)), d)
+    head = 1 if len(ms) > 1 else 0
+    t = _term(items, ms[:head], d)
+    for m in ms[head:]:
         t = t * _lfactor_cached(m, d)
     return t
 

@@ -16,6 +16,7 @@ substituting T = L^(v_j/N_j) collapses every remaining factor to
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConfigError, DataError, GenericityError, SchemaError
 from .motring import HodgePoly, _is_int, from_int, lpow, ring_sum
@@ -111,7 +112,10 @@ def alphas_from_numerical(datum):
 
 
 def build_config(datum):
-    """The configuration on E_j induced by the numerical data (d = N_j)."""
+    """The configuration on E_j induced by the numerical data (d = N_j).
+
+    Each call builds a new Config; residue_contribution, pole_report and
+    zmot_from_surface share one through _induced_config instead."""
     alphas = alphas_from_numerical(datum)
     curves = tuple(Curve(c.id, c.genus, c.self_int, alphas[c.id], c.trace)
                    for c in datum.components)
@@ -124,9 +128,31 @@ def build_config(datum):
                   curves=curves, points=tuple(points))
 
 
+@lru_cache(maxsize=8)
+def _induced(datum, surface_items):
+    """build_config(datum); surface_items only keys the cache."""
+    return build_config(datum)
+
+
+def _induced_config(datum):
+    """build_config(datum), built once for a run of calls on one datum.
+
+    The cache key holds the class's terms in order besides the datum:
+    equal classes can keep their terms in different orders, which the
+    strata classes and stored terms of the Config keep, so data equal up
+    to that order must not share a Config.  The cache is small, as
+    invariant_sum's is: it serves the calls of one datum in a row, and
+    the Config holds its derived views alive while it is cached."""
+    return _induced(datum, tuple(datum.surface_hodge.items()))
+
+
 def _residue(datum):
-    """(cfg, R): the induced configuration, checked, and its invariant."""
-    cfg = build_config(datum)
+    """(cfg, R): the induced configuration, checked, and its invariant.
+
+    The Config is _induced_config's, so residue_contribution and
+    pole_report on one datum build and sum it once, and the second
+    validate reads the findings the first stored on it."""
+    cfg = _induced_config(datum)
     rep = validate(cfg)
     if not rep.ok:
         raise DataError("numerical data is inconsistent:\n" + str(rep))
@@ -195,8 +221,10 @@ def zmot_contribution(z, j):
 
 
 def zmot_from_surface(datum, j="Ej"):
-    """ZMotDatum of the strata touching one exceptional surface (n = 2)."""
-    cfg = build_config(datum)
+    """ZMotDatum of the strata touching one exceptional surface (n = 2).
+
+    The strata are those of _induced_config's Config, as _residue's."""
+    cfg = _induced_config(datum)
     if j in cfg.curve_map:
         raise DataError(f"id {j!r} collides with a component id")
     numerical = {c.id: (c.N, c.v) for c in datum.components}

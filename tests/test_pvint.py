@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pvcalc.birational import blow_up, free
 from pvcalc.errors import (ContextError, ExponentError, LogPoleError,
                            ValidationError)
 from pvcalc.models import candidate_centers
-from pvcalc.motring import (euler_realize, from_hodge, from_int, lfactor,
-                            lpow, numeric_eval, one, parse_ring_elem, render,
-                            render_hodge, ring_sum)
-from pvcalc.pvint import e_invariant, e_padic, invariant_sum, pv_integral
+from pvcalc.motring import (HodgePoly, _lfactor_cached, euler_realize,
+                            from_hodge, from_int, lfactor, lpow, numeric_eval,
+                            one, parse_ring_elem, render, render_hodge,
+                            ring_sum)
+from pvcalc.pvint import (_term, e_invariant, e_padic, invariant_sum,
+                          pv_integral)
 from pvcalc.surface import (Config, Curve, plane, ruled, stratum_class,
                             validate)
 
@@ -306,3 +309,50 @@ def test_invariant_sum_errors_on_invalid_configs():
             fn(log_pair)
         assert str(exc.value) == \
             "lfactor(0): logarithmic pole in the first sum"
+
+
+# ---- the term cache against its plain loop ---------------------------------
+
+
+def plain_term(items, ms, d):
+    """_term as a plain loop: from_hodge of the class, then one product
+    per exponent, in order."""
+    t = from_hodge(HodgePoly(dict(items)), d)
+    for m in ms:
+        t = t * _lfactor_cached(m, d)
+    return t
+
+
+def stored_term(fn, *args):
+    try:
+        t = fn(*args)
+    except ExponentError as exc:
+        return str(exc)
+    return (list(t.num.items()), t.wpow, t.cyclo)
+
+
+HODGE_TERMS = st.lists(
+    st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+              st.integers(-3, 3).filter(bool)),
+    min_size=1, max_size=4, unique_by=lambda t: t[0]).map(tuple)
+# a few exponents, so that prefixes repeat, and one past the packed-key
+# limit, which raises ExponentError
+EXPONENTS = st.sampled_from((1, -1, 2, -3, 5, 2 ** 33))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 2, 3)),
+       st.lists(HODGE_TERMS, min_size=1, max_size=3, unique=True),
+       st.data())
+def test_term_matches_plain_loop(d, classes, data):
+    """Terms that share a class and first exponents, called in a drawn
+    order from a cleared cache, so that a call finds its prefix
+    sometimes cached and sometimes not."""
+    calls = data.draw(st.lists(
+        st.tuples(st.sampled_from(classes),
+                  st.lists(EXPONENTS, max_size=4).map(tuple)),
+        min_size=1, max_size=8))
+    _term.cache_clear()
+    for items, ms in calls:
+        assert stored_term(_term, items, ms, d) == \
+            stored_term(plain_term, items, ms, d)

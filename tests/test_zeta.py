@@ -1,6 +1,7 @@
 """Numerical data of resolutions, residues, substitution, verdicts."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from pvcalc.errors import DataError, GenericityError, SchemaError
 from pvcalc.models import random_config
 from pvcalc.motring import (HodgePoly, from_hodge, from_int, lfactor, lpow,
                             numeric_eval, one, render, ring_sum)
-from pvcalc.surface import strata
+from pvcalc.surface import Config, strata
 from pvcalc.zeta import (ResolutionComponent, SurfaceResolutionDatum, ZMotDatum,
                          alphas_from_numerical, build_config, dump_datum,
                          load_datum, pole_report, read_datum,
@@ -20,6 +21,18 @@ from pvcalc.zeta import (ResolutionComponent, SurfaceResolutionDatum, ZMotDatum,
                          zmot_from_surface)
 
 F = Fraction
+
+
+def clear_caches():
+    """Clear every functools cache bound in a loaded pvcalc module."""
+    caches = {id(obj): obj for name, mod in list(sys.modules.items())
+              if mod is not None and name.split(".")[0] == "pvcalc"
+              for obj in vars(mod).values()
+              if callable(getattr(obj, "cache_clear", None))
+              and callable(getattr(obj, "cache_info", None))}
+    for cache in caches.values():
+        cache.cache_clear()
+
 
 PLANE = HodgePoly({(2, 2): 1, (1, 1): 1, (0, 0): 1})
 
@@ -356,6 +369,77 @@ def test_substitution_keeps_each_class_order():
         terms = ZMotDatum(2, ((("A", "Ej"), h),), {"A": (3, 1), "Ej": (2, 1)})
         assert stored_or_error(residue_via_substitution, terms, "Ej") == \
             stored_or_error(reference_residue_via_substitution, terms, "Ej")
+
+
+def test_substitution_on_a_long_stratum():
+    # a stratum through 300 components: building its term must not
+    # recurse once per exponent
+    ids = tuple(f"C{k:03d}" for k in range(300))
+    numerical = {i: ((1, 1), (3, 1), (1, 2))[k % 3] for k, i in enumerate(ids)}
+    numerical["Ej"] = (2, 1)
+    terms = ZMotDatum(2, ((ids + ("Ej",), HodgePoly.one()),), numerical)
+    want = stored_or_error(reference_residue_via_substitution, terms, "Ej")
+    clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        got = stored_or_error(residue_via_substitution, terms, "Ej")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+
+
+def test_residue_ops_on_one_datum_build_one_config(monkeypatch):
+    """residue_contribution, pole_report and zmot_from_surface on one
+    datum share the induced Config; build_config builds a new one."""
+    datum = triangle_datum()
+    clear_caches()
+    built = []
+    init = Config.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Config, "__init__", counting_init)
+    residue_contribution(datum)
+    pole_report(datum)
+    zmot_from_surface(datum)
+    assert len(built) == 1
+    assert build_config(datum) is not build_config(datum)
+    assert len(built) == 3
+
+
+def residue_results(datum):
+    """The stored forms of every residue op on datum, or their errors."""
+    z = zmot_from_surface(datum)
+    return (stored_or_error(residue_contribution, datum),
+            [str(f) for f in pole_report(datum).findings],
+            tuple((ids, list(h.items())) for ids, h in z.strata),
+            stored_or_error(residue_via_substitution,
+                            zmot_contribution(z, "Ej"), "Ej"))
+
+
+def test_residue_ops_keep_each_surface_class_order():
+    # data equal up to the order of their surface class's terms keep
+    # that order in the open stratum's class, so they must not share an
+    # induced Config
+    blown_up = HodgePoly({(2, 2): 1, (1, 1): 2, (0, 0): 1})
+    flipped = HodgePoly({(0, 0): 1, (1, 1): 2, (2, 2): 1})
+    assert blown_up == flipped
+    data = [SurfaceResolutionDatum(
+        nj=2, vj=1, surface_hodge=h, creation="point",
+        components=(ResolutionComponent("B", 0, 4, 3, 1),))
+        for h in (blown_up, flipped)]
+    assert data[0] == data[1]
+    cold = []
+    for datum in data:
+        clear_caches()
+        cold.append(residue_results(datum))
+    assert cold[0][2] != cold[1][2]
+    clear_caches()
+    for k in (0, 1, 0):
+        assert residue_results(data[k]) == cold[k]
 
 
 def test_substitution_matches_fraction_reference_on_data():
