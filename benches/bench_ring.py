@@ -1,19 +1,20 @@
 """Benchmark: the stratum sum (ring_sum) on one long blow-up chain, and
-ring_sum alone on the small sums of the sweep and residue workloads.
+ring_sum alone on the sums of the chain, sweep and residue workloads.
 
 Builds random_config(3) and blows it up 160 times at non-exceptional
 on-divisor centers drawn with random.Random(1).  After 40, 80 and 160
 blow-ups it times invariant_sum (best of 3, caches cleared before each
 call) and, in one separate untimed call, counts the kernel work:
-pcyclo_mul calls and the monomials that the kernel ops put out.  It
-also times invariant_sum's stages on their own (best of 3 each, from
-cold): the exponent table, the walk over the strata and curves, the
-stratum terms and the ring_sum of them.
+calls of the dict kernel ops, pcyclo_mul calls among them, and the
+monomials that they put out.  It also times invariant_sum's stages on
+their own (best of 3 each, from cold): the exponent table, the walk
+over the strata and curves, the stratum terms and the ring_sum of them.
 
 Then it captures the inputs of every ring_sum call in one pass of the
-perfbench sweep and residue workloads (seed 1) and times ring_sum over
-each captured list (best of 20).  These are many sums of a few terms:
-the traffic that packing the numerators must not slow down.
+perfbench chain, sweep and residue workloads (seed 1) and times
+ring_sum over each captured list (best of 20).  Chain's are its four
+large stratum sums; sweep's and residue's are many sums of a few
+terms, the traffic that packing the numerators must not slow down.
 
 Run:  PYTHONPATH=src python3 benches/bench_ring.py [--out BENCH_ring.json]
 """
@@ -38,7 +39,7 @@ import caches
 
 CHECKPOINTS = (40, 80, 160)
 COUNTED_OPS = ("pcyclo_mul", "pcyclo_div", "pmul", "padd")
-SMALL_SUM_WORKLOADS = ("sweep", "residue")
+PASS_SUM_WORKLOADS = ("chain", "sweep", "residue")
 
 
 def chain_checkpoints():
@@ -55,10 +56,12 @@ def chain_checkpoints():
 
 
 def clear_caches(cfg):
-    """Clear every pvcalc cache and cfg's exponent table, so each timed
-    call sums from cold."""
+    """Clear every pvcalc cache and what cfg holds of its sum, its
+    exponent table and its invariant, so each timed call sums from
+    cold."""
     caches.clear_caches()
     cfg.__dict__.pop("exponents", None)     # a cached_property's slot
+    cfg.__dict__.pop("_invariant", None)    # kept there by invariant_sum
 
 
 def best_time(cfg, repeat=3):
@@ -75,13 +78,16 @@ def best_time(cfg, repeat=3):
 STAGES = ("exponents", "walk", "terms", "sum")
 
 
+def stored(x):
+    return list(x.num.items()), x.wpow, x.cyclo
+
+
 def stage_times(cfg, repeat=3):
     """Seconds of each stage of invariant_sum, best of repeat passes
-    from cold: the exponent table, the strata and curve data, the
-    stratum terms and their ring_sum.  The stages redo invariant_sum's
-    body, so the pass must reach its stored result."""
+    from cold (the exponent table, the strata and curve data, the
+    stratum terms and their ring_sum), and the staged sum.  The stages
+    redo invariant_sum's body, so the sum must be its stored result."""
     best = dict.fromkeys(STAGES, float("inf"))
-    want = invariant_sum(cfg)
     for _ in range(repeat):
         clear_caches(cfg)
         t0 = time.perf_counter()
@@ -98,20 +104,19 @@ def stage_times(cfg, repeat=3):
         for name, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2,
                                           t4 - t3)):
             best[name] = min(best[name], seconds)
-        if (result.num, result.wpow, result.cyclo) != (want.num, want.wpow,
-                                                       want.cyclo):
-            raise SystemExit("the staged sum differs from invariant_sum")
-    return best
+    return best, result
 
 
 def kernel_counts(cfg):
-    """pcyclo_mul calls and kernel output monomials of one invariant_sum."""
-    counts = {"pcyclo_mul_calls": 0, "terms_out": 0}
+    """Dict kernel op calls, pcyclo_mul calls and kernel output
+    monomials of one invariant_sum."""
+    counts = {"kernel_calls": 0, "pcyclo_mul_calls": 0, "terms_out": 0}
     originals = {op: getattr(kernel, op) for op in COUNTED_OPS}
 
     def counting(op, fn):
         def wrapper(*args):
             result = fn(*args)
+            counts["kernel_calls"] += 1
             if op == "pcyclo_mul":
                 counts["pcyclo_mul_calls"] += 1
             if result is not None:
@@ -181,25 +186,28 @@ def main():
     rows = []
     for blowups, cfg in chain_checkpoints().items():
         seconds, result = best_time(cfg)
-        stages = stage_times(cfg)
+        stages, staged = stage_times(cfg)
+        if stored(staged) != stored(result):
+            raise SystemExit("the staged sum differs from invariant_sum")
         row = {"blowups": blowups, "curves": len(cfg.curves),
                "invariant_sum_s": seconds, "is_zero": result.is_zero(),
                **kernel_counts(cfg),
                "stages_s": stages}
         rows.append(row)
         print(f"{blowups:>4} blow-ups  {row['curves']:>4} curves  "
-              f"{seconds:9.4f} s  pcyclo_mul {row['pcyclo_mul_calls']:>7}  "
+              f"{seconds:9.4f} s  kernel calls {row['kernel_calls']:>7}  "
+              f"pcyclo_mul {row['pcyclo_mul_calls']:>7}  "
               f"monomials out {row['terms_out']:>9}  zero {row['is_zero']}")
         print("      stages  " + "  ".join(
             f"{name} {stages[name] * 1e3:.3f} ms" for name in STAGES))
 
-    small = []
-    for name in SMALL_SUM_WORKLOADS:
+    pass_rows = []
+    for name in PASS_SUM_WORKLOADS:
         sums = pass_sums(name)
         row = {"workload": name, "sums": len(sums),
                "terms": sum(len(terms) for terms, _ in sums),
                "ring_sum_s": time_sums(sums)}
-        small.append(row)
+        pass_rows.append(row)
         print(f"{name:>8} pass  {row['sums']:>5} sums  {row['terms']:>6} "
               f"terms  ring_sum {row['ring_sum_s'] * 1e3:8.2f} ms")
 
@@ -214,10 +222,10 @@ def main():
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "rows": rows,
-        "small_sums": "ring_sum alone over the captured sums of one pass "
-                      "of perfbench's sweep and residue workloads, seed 1, "
-                      "best of 20",
-        "small_rows": small,
+        "pass_sums": "ring_sum alone over the captured sums of one pass "
+                     "of perfbench's chain, sweep and residue workloads, "
+                     "seed 1, best of 20",
+        "pass_rows": pass_rows,
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)

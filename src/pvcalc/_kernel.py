@@ -170,12 +170,15 @@ def kpack(a, nbytes, width, tmin):
     return int.from_bytes(buf, "little") - int.from_bytes(zeros, "little")
 
 
-def klift(x, s, ks, nbytes):
-    """Packed x times w^s * prod over ks of (w^k - 1)."""
-    bits = 8 * nbytes
+def klift(x, s, mask, ks, bits):
+    """Packed x, of bits-bit digits, times w^s and one (w^k - 1) for
+    k = ks[i] at each set bit i of mask."""
     x <<= bits * s
-    for k in ks:
+    while mask:
+        low = mask & -mask
+        k = ks[low.bit_length() - 1]
         x = (x << bits * k) - x
+        mask ^= low
     return x
 
 

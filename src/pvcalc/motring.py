@@ -26,9 +26,13 @@ exactly the numerator of lifting every term to the full lcm and then
 normalizes once.  The tree lifts Kronecker-packed numerators: each is
 one int, the numerator evaluated at w = 2^bits, with bits taken from an
 exact bound on every coefficient of the sum, so a lift by (w^k - 1) is
-one shift and one subtraction however many terms it has.  A sum whose
-packed root would hold more digits than its sparse root could hold
-monomials keeps kernel dicts (see ring_sum).
+one shift and one subtraction however many terms it has.  There each
+node's denominator is a bitmask over the ranks of the sum's factors,
+one layer per multiplicity, so a node's lcm is a bitwise or and the
+factors a child lacks are the bits the or adds.  A sum whose packed
+root would hold more digits than its sparse root could hold monomials
+keeps kernel dicts and factor-count dicts, whose lift order fixes the
+key order of the stored root (see ring_sum).
 
 A w-exponent must fit the c field of the kernel's packed keys, or it
 would carry into the u/v field.  Constructors and sums check the
@@ -38,9 +42,8 @@ up under products, within that field.  A misfit raises ExponentError.
 """
 
 from fractions import Fraction
-from functools import lru_cache, partial
-from math import gcd
-from operator import add
+from functools import lru_cache
+from math import gcd, inf
 
 from . import _kernel as K
 from .errors import (
@@ -149,22 +152,11 @@ class HodgePoly:
         if not isinstance(other, HodgePoly):
             return NotImplemented
         out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            s = out.get(key, 0) + sign * coeff
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        res = HodgePoly.__new__(HodgePoly)
-        res._terms = out
-        res._hash = None
-        return res
+        _add_terms(out, other._terms.items(), sign)
+        return _hodge(out)
 
     def __neg__(self):
-        res = HodgePoly.__new__(HodgePoly)
-        res._terms = {k: -v for k, v in self._terms.items()}
-        res._hash = None
-        return res
+        return _hodge({k: -v for k, v in self._terms.items()})
 
     def __rsub__(self, other):
         return (-self) + other
@@ -173,10 +165,7 @@ class HodgePoly:
         if isinstance(other, int):
             if not other:
                 return HodgePoly.zero()
-            res = HodgePoly.__new__(HodgePoly)
-            res._terms = {k: other * v for k, v in self._terms.items()}
-            res._hash = None
-            return res
+            return _hodge({k: other * v for k, v in self._terms.items()})
         if not isinstance(other, HodgePoly):
             return NotImplemented
         out = {}
@@ -188,10 +177,7 @@ class HodgePoly:
                     out[key] = s
                 elif key in out:
                     del out[key]
-        res = HodgePoly.__new__(HodgePoly)
-        res._terms = out
-        res._hash = None
-        return res
+        return _hodge(out)
 
     __rmul__ = __mul__
 
@@ -222,6 +208,25 @@ class HodgePoly:
 
     def __repr__(self):
         return f"HodgePoly({self})"
+
+
+def _hodge(terms):
+    """The HodgePoly of a dict of nonzero int terms, which it keeps."""
+    res = HodgePoly.__new__(HodgePoly)
+    res._terms = terms
+    res._hash = None
+    return res
+
+
+def _add_terms(out, items, sign):
+    """Add sign times the ((eu, ev), coeff) items into the dict out, in
+    place: a new key goes last and a key whose sum is 0 leaves."""
+    for key, coeff in items:
+        s = out.get(key, 0) + sign * coeff
+        if s:
+            out[key] = s
+        else:
+            del out[key]
 
 
 def _uv_monomial(eu, ev, coeff):
@@ -542,63 +547,133 @@ def _dict_lift(num, s, ks):
     return num
 
 
-def _tree(nodes, lift, plus):
-    """The root numerator of (wpow, counts, numerator) nodes combined
-    pairwise in a balanced tree; each node lifts its two children to
-    their own lcm with lift(numerator, w-shift, factors) and adds them
-    with plus."""
+def _tree(nodes):
+    """The root numerator of (wpow, counts, numerator) nodes, on kernel
+    dicts, combined pairwise in a balanced tree; each node lifts its two
+    children to their own lcm and adds them."""
     while len(nodes) > 1:
         paired = []
         for (wa, ca, na), (wb, cb, nb) in zip(nodes[::2], nodes[1::2]):
             w, cu = max(wa, wb), _lcm(ca, cb)
-            paired.append((w, cu, plus(lift(na, w - wa, _missing(ca, cu)),
-                                       lift(nb, w - wb, _missing(cb, cu)))))
+            paired.append((w, cu, K.padd(
+                _dict_lift(na, w - wa, _missing(ca, cu)),
+                _dict_lift(nb, w - wb, _missing(cb, cu)))))
         if len(nodes) % 2:
             paired.append(nodes[-1])
         nodes = paired
     return nodes[0][2]
 
 
+def _packed_tree(nodes, ks, bits):
+    """The same tree on (wpow, mask, packed numerator) nodes: a node's
+    denominator mask is the | of its children's, and each child is
+    lifted by the factors of its bits beyond its own (see klift)."""
+    lift = K.klift
+    while len(nodes) > 1:
+        paired = []
+        for (wa, ma, xa), (wb, mb, xb) in zip(nodes[::2], nodes[1::2]):
+            w, m = max(wa, wb), ma | mb
+            paired.append((w, m, lift(xa, w - wa, m & ~ma, ks, bits)
+                           + lift(xb, w - wb, m & ~mb, ks, bits)))
+        if len(nodes) % 2:
+            paired.append(nodes[-1])
+        nodes = paired
+    return nodes[0][2]
+
+
+def _masks(nodes, union):
+    """The (wpow, factors, numerator) nodes with each sorted factor
+    tuple replaced by a bitmask, and the factor of each bit.
+
+    Factor i of union, in its order, is bit i of layer 0; with F
+    factors, layer j (bits j*F to j*F + F - 1) holds the factors of
+    multiplicity above j.  So the | of two masks is their lcm, and the
+    bits of one mask beyond another's are the factors, with
+    multiplicity, that it has beyond the other.  Ranks index the bits,
+    not the factors, so a huge k costs one bit."""
+    nf = len(union)
+    bit = {k: 1 << i for i, k in enumerate(union)}
+    ks = list(union) * max(union.values(), default=0)
+    out = []
+    for wpow, cyclo, x in nodes:
+        mask = prev = 0
+        for k in cyclo:
+            # a repeated factor takes the next layer's bit
+            b = b << nf if k == prev else bit[k]
+            prev = k
+            mask |= b
+        out.append((wpow, mask, x))
+    return out, ks
+
+
 def _lift_and_add(groups):
     """(w-power, factor counts, numerator) of the root of a sum of two
-    or more groups, on one packed int each or on kernel dicts."""
-    nodes = [(wpow, _counts(cyclo), num)
-             for (wpow, cyclo), num in sorted(groups.items())]
+    or more groups, on one packed int each or on kernel dicts.
+
+    One pass over the groups, in denominator order, gathers the root's
+    w-power and lcm, and each nonempty group's top w-degree beyond its
+    own denominator's degree and its u/v components.  The root's degree
+    then gives every group's degree at the root, and so the guard and
+    the size rule of ring_sum; bitmask denominators are built only for
+    a sum that the rule packs."""
+    mask, shift = K.KEY_MASK, K.KEY_SHIFT
+    nodes, plan = [], []
     wp, union = 0, {}
-    for wpow, counts, _ in nodes:
-        wp = max(wp, wpow)
-        for k, mult in counts.items():
+    excess = dmax = tmax = -inf
+    tmin = inf
+    for (wpow, cyclo), num in sorted(groups.items()):
+        # cyclo is sorted, so a factor's copies are consecutive
+        prev = mult = 0
+        for k in cyclo:
+            mult = mult + 1 if k == prev else 1
+            prev = k
             if mult > union.get(k, 0):
                 union[k] = mult
-    top = wp + sum(k * mult for k, mult in union.items())
-    nfactors = sum(union.values())
-    width = sparse = 0
-    ts = []
-    for (wpow, cyclo), num in groups.items():
-        # a numerator lifted to the root gains the degree its own
-        # denominator lacks; check that it fits a packed key before
-        # anything is lifted or packed
-        deg = top - wpow - sum(cyclo)
+        if wpow > wp:
+            wp = wpow
+        nodes.append((wpow, cyclo, num))
+        deg = -wpow - sum(cyclo)
         if num:
             hi = max(num)
-            tlo, thi = min(num) >> K.KEY_SHIFT, hi >> K.KEY_SHIFT
+            tlo, thi = min(num) >> shift, hi >> shift
             # keys order by u/v exponent first, so with one component
             # the largest key has the largest w-exponent
-            deg += hi & K.KEY_MASK if tlo == thi else _wdeg(num)
-            width = max(width, deg + 1)
-            ts += tlo, thi
-            sparse += min(len(num) << nfactors - len(cyclo),
-                          (deg + 1) * (thi - tlo + 1))
-        _check_wdeg(deg)
-    if not ts or width * (max(ts) - min(ts) + 1) > sparse:
-        return wp, union, _tree(nodes, _dict_lift, K.padd)
-    tmin = min(ts)
-    bound = sum(sum(map(abs, num.values())) << nfactors - len(cyclo)
-                for (_, cyclo), num in groups.items())
+            deg += hi & mask if tlo == thi else _wdeg(num)
+            plan.append((deg, len(cyclo), num, tlo, thi))
+            if deg > dmax:
+                dmax = deg
+            if tlo < tmin:
+                tmin = tlo
+            if thi > tmax:
+                tmax = thi
+        if deg > excess:
+            excess = deg
+    top = wp + sum(k * mult for k, mult in union.items())
+    if top + excess > mask:
+        # a numerator lifted to the root gains the degree its own
+        # denominator lacks: raise for the first group, in the order
+        # the terms gave, whose lift would not fit a packed key,
+        # before anything is lifted or packed
+        for (wpow, cyclo), num in groups.items():
+            _check_wdeg(top - wpow - sum(cyclo) + _wdeg(num))
+    if not plan:
+        return wp, union, {}
+    nfactors = sum(union.values())
+    width = top + dmax + 1
+    sparse = 0
+    for deg, r, num, tlo, thi in plan:
+        sparse += min(len(num) << nfactors - r,
+                      (top + deg + 1) * (thi - tlo + 1))
+    if width * (tmax - tmin + 1) > sparse:
+        return wp, union, _tree([(wpow, _counts(cyclo), num)
+                                 for wpow, cyclo, num in nodes])
+    bound = sum(sum(map(abs, num.values())) << nfactors - r
+                for _, r, num, _, _ in plan)
     nbytes = (bound.bit_length() + 8) // 8
-    packed = [(wpow, counts, K.kpack(num, nbytes, width, tmin))
-              for wpow, counts, num in nodes]
-    x = _tree(packed, partial(K.klift, nbytes=nbytes), add)
+    packed, ks = _masks(nodes, union)
+    packed = [(wpow, m, K.kpack(num, nbytes, width, tmin))
+              for wpow, m, num in packed]
+    x = _packed_tree(packed, ks, 8 * nbytes)
     return wp, union, K.kunpack(x, nbytes, width, tmin)
 
 
@@ -636,6 +711,15 @@ def ring_sum(terms, d=None):
     dicts instead (a huge (w^k - 1) next to small numerators, say).  A
     sum of one group lifts nothing.  All give the same root, and every
     guard runs before anything is lifted.
+
+    On the packed path a node's denominator is its w-power and a
+    bitmask of its factors in layers (see _masks): its lcm is one |,
+    and a child is lifted by one shift and one subtraction for each
+    bit of lcm & ~own.  The packed root is read back with its keys
+    ascending, whatever the order of the lifts.  The dict path keeps
+    {k: multiplicity} dicts and lifts by their factors in dict order,
+    because there the order of the lifts is the key order of the root,
+    which is stored as it is when no trial division reduces it.
     """
     terms = list(terms)
     if not terms:

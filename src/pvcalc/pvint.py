@@ -18,7 +18,9 @@ as its exponent, self-intersection and neighbor exponents, so that the
 after side of a blow-up is summed without building the blown-up
 configuration.  Each stratum term comes from the _term cache, keyed
 by its class and exponents; a miss builds it from the cached term of
-its class and first exponent.
+its class and first exponent.  invariant_sum keeps its result on the
+Config it sums, as validate keeps its findings, so it is summed once
+per Config object and dropped with it; no cache hashes Configs.
 """
 
 from functools import lru_cache
@@ -29,7 +31,6 @@ from .motring import (HodgePoly, _lfactor_cached, _lfactor_exp, from_hodge,
 from .surface import strata, validate
 
 
-@lru_cache(maxsize=8)
 def invariant_sum(config):
     """The raw stratum sum, with no semantic checks.
 
@@ -43,15 +44,20 @@ def invariant_sum(config):
     loop.  An alpha outside (1/d) Z raises the ExponentError of
     config.exponents.
 
-    The cache is small on purpose: it serves callers that sum an equal
-    Config twice in a row (residue_contribution, then pole_report),
-    while an unbounded one would keep every Config summed alive.
+    The result is kept on the Config, as validate keeps its findings,
+    so a second call on the same Config (residue_contribution, then
+    pole_report) reads it, and it lives as long as the Config.  An
+    equal Config sums afresh: equal Configs can list the ambient
+    class's terms in different orders, which the stored result keeps.
     """
-    ex = config.exponents
-    return ring_sum(stratum_terms(
-        [(tuple(ex[i] for i in ids), h) for ids, h in strata(config)],
-        curve_data(config, [i for i, m in ex.items() if not m]), config.d),
-        config.d)
+    held = config.__dict__.get("_invariant")
+    if held is None:
+        ex = config.exponents
+        held = config.__dict__["_invariant"] = ring_sum(stratum_terms(
+            [(tuple(ex[i] for i in ids), h) for ids, h in strata(config)],
+            curve_data(config, [i for i, m in ex.items() if not m]),
+            config.d), config.d)
+    return held
 
 
 def curve_data(config, ids):

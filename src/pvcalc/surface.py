@@ -22,7 +22,8 @@ from operator import attrgetter
 import re
 
 from .errors import ConfigError, SchemaError
-from .motring import HodgePoly, _as_exponent, _is_int
+from .motring import (HodgePoly, _add_terms, _as_exponent, _hodge,
+                      _is_int)
 
 
 _RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
@@ -447,10 +448,13 @@ def strata(config):
 
 
 def _open_class(config):
-    h = config.ambient_hodge
+    """The ambient class minus each curve's class, plus the points:
+    the terms, in order, of that chain of - and +, added into one dict."""
+    h = dict(config.ambient_hodge.items())
     for c in config.curves:
-        h = h - _curve_stratum(c.genus, 0)
-    return h + _point_class(len(config.points))
+        _add_terms(h, _curve_stratum(c.genus, 0).items(), -1)
+    _add_terms(h, _point_class(len(config.points)).items(), 1)
+    return _hodge(h)
 
 
 @lru_cache(maxsize=None)

@@ -140,9 +140,9 @@ def _induced_config(datum):
     The cache key holds the class's terms in order besides the datum:
     equal classes can keep their terms in different orders, which the
     strata classes and stored terms of the Config keep, so data equal up
-    to that order must not share a Config.  The cache is small, as
-    invariant_sum's is: it serves the calls of one datum in a row, and
-    the Config holds its derived views alive while it is cached."""
+    to that order must not share a Config.  The cache is small: it
+    serves the calls of one datum in a row, and the Config holds its
+    derived views and its invariant alive while it is cached."""
     return _induced(datum, tuple(datum.surface_hodge.items()))
 
 

@@ -601,10 +601,26 @@ SPARSE_LIFT_CASE = (1, [({(0, 1): 1, (0, 0): -1}, 0, [2 ** 20]),
                         ({(0, j): comb(21, j) * (-1) ** (21 - j)
                           for j in range(22)}, 0, [3] * 21)], "dict")
 
+# factors 2 and 3 repeated two or three times in several groups, so
+# that the denominator masks have three layers and a node's lcm takes
+# a factor's multiplicity from one child and another's from the other
+LAYERED_CASE = (2, [({(0, 0): 3, (1, 2): -1}, 1, [2, 2, 3]),
+                    ({(0, 1): 5}, 0, [2, 3, 3, 3]),
+                    ({(-1, 0): 2, (0, 4): 7}, 2, [2, 2, 2]),
+                    ({(0, 0): -4}, 0, [3, 3, 5]),
+                    ({(1, 1): 1}, 3, [2, 5, 5])], "packed")
+# the same factor at multiplicity 1, 2 and 3 in groups that the tree
+# pairs in every way
+NESTED_CASE = (1, [({(0, 0): 1}, 0, [4]), ({(0, 0): 1}, 0, [4, 4]),
+                   ({(0, 1): -1}, 0, [4, 4, 4]), ({(0, 2): 2}, 1, [1, 4]),
+                   ({(0, 0): 1, (2, 0): 1}, 0, [1, 1, 4, 4])], "packed")
+
 
 @settings(max_examples=60, deadline=None)
 @given(wide_sum_specs())
 @example(REPEATED_FACTOR_CASE)
+@example(LAYERED_CASE)
+@example(NESTED_CASE)
 @example(TIGHT_BOUND_CASE)
 @example(SPARSE_LIFT_CASE)
 # the group without factors sums to zero, so nothing is lifted by the
@@ -640,7 +656,6 @@ def test_chain_invariant_sum_runs_packed(monkeypatch):
 
     for op in ("pcyclo_mul", "kpack"):
         monkeypatch.setattr(K, op, counting(op, getattr(K, op)))
-    invariant_sum.cache_clear()
     assert invariant_sum(cfg).is_zero()
     assert calls["pcyclo_mul"] == 0 and calls["kpack"] > 0
 

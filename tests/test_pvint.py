@@ -311,6 +311,21 @@ def test_invariant_sum_errors_on_invalid_configs():
             "lfactor(0): logarithmic pole in the first sum"
 
 
+def test_equal_configs_keep_their_own_term_order():
+    """Configs equal up to the order of the ambient class's terms are
+    equal, but each sum stores the order its own class gives: the
+    second one, summed right after the first, stores what a cold call
+    does."""
+    forward = HodgePoly({(2, 2): 1, (1, 1): 2, (0, 0): 1})
+    backward = HodgePoly(dict(reversed(list(forward.items()))))
+    first, second = Config(1, forward), Config(1, backward)
+    assert first == second
+    assert list(invariant_sum(first).num.items()) == [(2, 1), (1, 2), (0, 1)]
+    assert list(invariant_sum(second).num.items()) == [(0, 1), (1, 2), (2, 1)]
+    # a second call on the same Config returns what the first stored
+    assert invariant_sum(second) is invariant_sum(second)
+
+
 # ---- the term cache against its plain loop ---------------------------------
 
 
