@@ -7,8 +7,8 @@ on one surface resolution datum, then realizes R.  For seeds 1 and
 20261017 this times each of those calls on its own over one pass of
 every datum, with every pvcalc cache cleared before the pass, and keeps
 the best of REPEAT passes per call.  A separate untimed pass counts the
-Configs built per op, by wrapping Config.__init__.  Every op's result
-is checked against the workload's oracle.
+Configs and the ZMotDatums built per op, by wrapping their __init__.
+Every op's result is checked against the workload's oracle.
 
 Run:  PYTHONPATH=src python3 benches/bench_residue.py [--out BENCH_residue.json]
 """
@@ -60,23 +60,32 @@ def timed_pass(work):
     return seconds
 
 
-def config_builds(work):
-    """Configs built in one pass from cold, per op."""
-    built = [0]
-    init = surface.Config.__init__
+BUILT = {"config": surface.Config, "zmot": zeta.ZMotDatum}
 
-    def counting_init(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
+
+def builds_per_op(work):
+    """Configs and ZMotDatums built in one pass from cold, per op."""
+    built = dict.fromkeys(BUILT, 0)
+    inits = {name: cls.__init__ for name, cls in BUILT.items()}
+
+    def counting(name):
+        init = inits[name]
+
+        def counting_init(self, *args, **kwargs):
+            built[name] += 1
+            init(self, *args, **kwargs)
+        return counting_init
 
     clear_caches()
-    surface.Config.__init__ = counting_init
+    for name, cls in BUILT.items():
+        cls.__init__ = counting(name)
     try:
         for op, _ in work.pass_ops():
             op()
     finally:
-        surface.Config.__init__ = init
-    return built[0] / len(work.data)
+        for name, cls in BUILT.items():
+            cls.__init__ = inits[name]
+    return {name: n / len(work.data) for name, n in built.items()}
 
 
 def main():
@@ -92,13 +101,16 @@ def main():
         for _ in range(REPEAT):
             for name, s in timed_pass(work).items():
                 best[name] = min(best[name], s)
+        built = builds_per_op(work)
         row = {"seed": seed, "ops": len(work.data),
                "ms_per_pass": {k: 1e3 * v for k, v in best.items()},
-               "config_builds_per_op": config_builds(work)}
+               "config_builds_per_op": built["config"],
+               "zmot_builds_per_op": built["zmot"]}
         rows.append(row)
         print(f"seed {seed:>8}  {row['ops']} ops  " + "  ".join(
             f"{k} {v:.1f}" for k, v in row["ms_per_pass"].items())
-            + f" ms  Configs per op {row['config_builds_per_op']:g}")
+            + f" ms  Configs per op {built['config']:g}"
+            + f"  ZMotDatums per op {built['zmot']:g}")
 
     report = {
         "bench": "the perfbench residue workload's op, call by call",

@@ -56,12 +56,12 @@ def chain_checkpoints():
 
 
 def clear_caches(cfg):
-    """Clear every pvcalc cache and what cfg holds of its sum, its
-    exponent table and its invariant, so each timed call sums from
-    cold."""
+    """Clear every pvcalc cache and everything cfg holds beside its
+    fields (its derived views, findings and invariant, whatever their
+    names), so each timed call sums from cold."""
     caches.clear_caches()
-    cfg.__dict__.pop("exponents", None)     # a cached_property's slot
-    cfg.__dict__.pop("_invariant", None)    # kept there by invariant_sum
+    for key in [k for k in cfg.__dict__ if k not in surface.Config._fields]:
+        del cfg.__dict__[key]
 
 
 def best_time(cfg, repeat=3):

@@ -286,23 +286,32 @@ def _weight(num, d):
 
 def _normalize(d, num, wpow, cyclo):
     """Reduce stored data: trial-divide by the recorded cyclotomic
-    factors (largest k first; a failed k can never start dividing again
-    after a further division, so one descending pass suffices) and
-    strip powers of w shared by numerator and denominator.
+    factors and strip powers of w shared by numerator and denominator.
+
+    The factors are sorted once and tried in one descending pass over
+    that list, largest k first: once num is not divisible by (w^k - 1)
+    it stays so after a division by a smaller factor, so the remaining
+    copies of that k are kept untried.  The factors kept come out of
+    the pass in descending order and are stored ascending.
 
     The reduced numerator's weight must fit a key's c field: then the
     product of two stored elements, whose weight is at most the sum,
     cannot carry out of the c field."""
     if not num:
         return {}, 0, ()
-    counts = _counts(cyclo)
-    for k in sorted(counts, reverse=True):
-        while counts[k]:
-            quo = K.pcyclo_div(num, k)
-            if quo is None:
-                break
-            num = quo
-            counts[k] -= 1
+    if cyclo:
+        kept = []
+        failed = 0          # the last k that did not divide; every k >= 1
+        for k in sorted(cyclo, reverse=True):
+            if k != failed:
+                quo = K.pcyclo_div(num, k)
+                if quo is not None:
+                    num = quo
+                    continue
+                failed = k
+            kept.append(k)
+        kept.reverse()
+        cyclo = tuple(kept)
     if wpow:
         s = min(wpow, K.pwmin(num))
         if s:
@@ -313,15 +322,16 @@ def _normalize(d, num, wpow, cyclo):
         raise ExponentError(
             f"exponents too large for packed keys (weight {weight} "
             f"exceeds 2^{K.KEY_SHIFT} - 1)")
-    return num, wpow, _cyclo(counts)
+    return num, wpow, cyclo
 
 
 def _store(x, d, num, wpow, cyclo):
-    """Set the fields of a RingElem, which refuses plain assignment."""
-    object.__setattr__(x, "d", d)
-    object.__setattr__(x, "num", num)
-    object.__setattr__(x, "wpow", wpow)
-    object.__setattr__(x, "cyclo", cyclo)
+    """Set the fields of a RingElem, which refuses plain assignment,
+    through its slot descriptors (bound below the class)."""
+    _set_d(x, d)
+    _set_num(x, num)
+    _set_wpow(x, wpow)
+    _set_cyclo(x, cyclo)
     return x
 
 
@@ -401,9 +411,12 @@ class RingElem:
         return ring_sum([other, -self])
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        # the ring's own products pass a RingElem of the same level,
+        # which _coerce would return unchanged
+        if other.__class__ is not RingElem or other.d != self.d:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return _make(self.d, K.pmul(self.num, other.num, self.d),
                      self.wpow + other.wpow, self.cyclo + other.cyclo)
 
@@ -437,6 +450,12 @@ class RingElem:
 
     def __repr__(self):
         return f"RingElem({render(self)!r}, d={self.d})"
+
+
+_set_d = RingElem.d.__set__
+_set_num = RingElem.num.__set__
+_set_wpow = RingElem.wpow.__set__
+_set_cyclo = RingElem.cyclo.__set__
 
 
 def zero(d):

@@ -239,6 +239,15 @@ class Config(_Frozen):
     def _chi(self):
         return euler_complement(self)
 
+    @cached_property
+    def _open(self):
+        """The open stratum's class, as strata() yields it."""
+        return _open_class(self)
+
+    @cached_property
+    def _connected(self):
+        return is_connected(self)
+
     def _moved(self, ambient_hodge, curves=(), gone=None, points_out=(),
                points_in=()):
         """The Config self becomes when its ambient class is
@@ -254,7 +263,9 @@ class Config(_Frozen):
         are placed by bisection; the derived views are self's with
         local updates, in the key order a fresh build gives, the
         exponent table too when self has built it; chi, when self knows
-        it, changes by the Euler numbers of what joins and leaves.  So
+        it, changes by the Euler numbers of what joins and leaves.  The
+        open stratum's class and the connectivity are not carried: the
+        new Config computes them when they are first read.  So
         the work follows what the move touches, apart from copying
         tuples and dicts and rebuilding a view that a new key joins
         other than at its end.
@@ -424,7 +435,7 @@ def stratum_class(config, I):
     for i in ids:
         config.curve(i)
     if len(ids) == 0:
-        return _open_class(config)
+        return config._open
     if len(ids) == 1:
         c = config.curve(ids[0])
         return _curve_stratum(c.genus, config.points_per_curve[c.id])
@@ -437,9 +448,10 @@ def strata(config):
     """Every nonempty stratum of the divisor as (ids, class), in order:
     the open stratum (); each curve minus its points (id,), in id order;
     each meeting pair (a, b) with its count of points, in pair_counts
-    order.  Curve and point classes are cached by their integer
+    order.  The open stratum's class is the Config's _open view, built
+    once per Config; curve and point classes are cached by their integer
     signatures, so equal signatures share one HodgePoly."""
-    yield (), _open_class(config)
+    yield (), config._open
     npoints = config.points_per_curve
     for c in config.curves:
         yield (c.id,), _curve_stratum(c.genus, npoints[c.id])
@@ -614,7 +626,7 @@ def _compute_findings(config):
             rep.add("error", "allowed-points",
                     f"curve {c.id} with alpha 0 meets curves with alpha != 1 "
                     f"in {special[c.id]} points (at most 2)")
-    return tuple(rep.findings) + _closing_findings(config, is_connected(config))
+    return tuple(rep.findings) + _closing_findings(config, config._connected)
 
 
 def _closing_findings(config, connected):

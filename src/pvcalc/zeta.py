@@ -13,6 +13,16 @@ terms of the motivic contribution carry one (L-1)T^N / (L^v - T^N)
 factor per component, and multiplying by the j-factor's denominator and
 substituting T = L^(v_j/N_j) collapses every remaining factor to
 (L-1)/(L^alpha - 1) exactly.
+
+The calls on one datum do each piece of work once.  build_config hands
+the integers m_i = alpha_i * N_j it computed to the Config's exponents
+view; residue_contribution, pole_report and zmot_from_surface share one
+induced Config, kept in a small cache keyed by the datum, never on the
+datum itself, whose sum, findings, chi, connectivity and open stratum
+class are computed once on it.  zmot_from_surface builds the one
+ZMotDatum of the op, which zmot_contribution returns as it is, since
+every stratum contains E_j; residue_via_substitution multiplies its
+sum by a single prefactor.
 """
 
 from fractions import Fraction
@@ -22,8 +32,8 @@ from .errors import ConfigError, DataError, GenericityError, SchemaError
 from .motring import HodgePoly, _is_int, from_int, lpow, ring_sum
 from .pvint import _term, invariant_sum
 from .surface import (Config, Curve, Report, _Frozen, _ambient_from_json,
-                      _ambient_to_json, _read_json, _write_json,
-                      euler_complement, is_connected, strata, validate)
+                      _ambient_to_json, _read_json, _write_json, strata,
+                      validate)
 
 CREATIONS = ("point", "rational_curve", "nonrational_curve")
 
@@ -99,33 +109,48 @@ class SurfaceResolutionDatum(_Frozen):
                              creation_genus=creation_genus)
 
 
-def alphas_from_numerical(datum):
-    """Exponents alpha_i = v_i - (v_j/N_j) N_i, all required nonzero."""
+def _exponent_ints(datum):
+    """id -> m_i = v_i N_j - v_j N_i, the integer alpha_i * N_j, in the
+    order of datum.components; a zero m raises GenericityError."""
     out = {}
     for c in datum.components:
         m = c.v * datum.nj - datum.vj * c.N
         if m == 0:
             raise GenericityError(
                 f"component {c.id} has v/N = {datum.vj}/{datum.nj}, alpha = 0")
-        out[c.id] = Fraction(m, datum.nj)
+        out[c.id] = m
     return out
+
+
+def alphas_from_numerical(datum):
+    """Exponents alpha_i = v_i - (v_j/N_j) N_i, all required nonzero."""
+    nj = datum.nj
+    return {i: Fraction(m, nj) for i, m in _exponent_ints(datum).items()}
 
 
 def build_config(datum):
     """The configuration on E_j induced by the numerical data (d = N_j).
 
-    Each call builds a new Config; residue_contribution, pole_report and
+    Each alpha_i is built from the integer m_i = alpha_i * N_j =
+    v_i N_j - v_j N_i, and those integers go into the Config's exponents
+    view, in id order, as Config.exponents would build it, so the
+    stratum sum converts no alpha back.  Each call
+    builds a new Config; residue_contribution, pole_report and
     zmot_from_surface share one through _induced_config instead."""
-    alphas = alphas_from_numerical(datum)
-    curves = tuple(Curve(c.id, c.genus, c.self_int, alphas[c.id], c.trace)
+    ms = _exponent_ints(datum)
+    nj = datum.nj
+    curves = tuple(Curve(c.id, c.genus, c.self_int, Fraction(ms[c.id], nj),
+                         c.trace)
                    for c in datum.components)
     seen = {}
     points = []
     for a, b in datum.points:
         points.append((a, b, seen.get((a, b), 0)))
         seen[(a, b)] = seen.get((a, b), 0) + 1
-    return Config(d=datum.nj, ambient_hodge=datum.surface_hodge,
-                  curves=curves, points=tuple(points))
+    cfg = Config(d=nj, ambient_hodge=datum.surface_hodge, curves=curves,
+                 points=tuple(points))
+    cfg.__dict__["exponents"] = {c.id: ms[c.id] for c in cfg.curves}
+    return cfg
 
 
 @lru_cache(maxsize=8)
@@ -142,7 +167,9 @@ def _induced_config(datum):
     strata classes and stored terms of the Config keep, so data equal up
     to that order must not share a Config.  The cache is small: it
     serves the calls of one datum in a row, and the Config holds its
-    derived views and its invariant alive while it is cached."""
+    derived views and its invariant alive while it is cached.  Nothing
+    is kept on the datum, whose __dict__ holds only its fields, so once
+    the cache is cleared the same datum object is computed afresh."""
     return _induced(datum, tuple(datum.surface_hodge.items()))
 
 
@@ -210,20 +237,25 @@ def zmot_contribution(z, j):
 
     They are the terms of E_j's contribution to the motivic zeta
     function; nothing is expanded, each keeps its class, and its
-    (L-1)T^N / (L^v - T^N) factors are read from z.numerical.
+    (L-1)T^N / (L^v - T^N) factors are read from z.numerical.  When
+    every stratum of z contains j, that datum is z itself.
     """
     if j not in z.numerical:
         raise DataError(f"unknown component {j!r}")
     through = tuple((ids, h) for ids, h in z.strata if j in ids)
     if not through:
         raise DataError(f"component {j!r} appears in no stratum")
+    if len(through) == len(z.strata):
+        return z
     return ZMotDatum(z.n, through, z.numerical)
 
 
 def zmot_from_surface(datum, j="Ej"):
     """ZMotDatum of the strata touching one exceptional surface (n = 2).
 
-    The strata are those of _induced_config's Config, as _residue's."""
+    The strata are those of _induced_config's Config, as _residue's.
+    Every one contains j, so zmot_contribution(result, j) is the
+    result itself."""
     cfg = _induced_config(datum)
     if j in cfg.curve_map:
         raise DataError(f"id {j!r} collides with a component id")
@@ -242,6 +274,13 @@ def residue_via_substitution(z, j, d=1):
     denominator d * N_j, d a positive int.  Every factor with i != j
     collapses to (L-1)/(L^alpha_i - 1); the j-factor leaves
     (L-1) L^(v_j) behind, and the whole sum carries L^-(n+1).
+
+    Each component's alpha_i * d * N_j is converted once per call.  A
+    zero sum is returned as it is; a nonzero one is multiplied once by
+    the prefactor (L-1) L^(v_j) L^-(n+1).  That stores what the three
+    products in turn store: a power of w changes no divisibility by a
+    (w^k - 1), and the w-powers stripped in one product or in three
+    leave the same form.
     """
     if not _is_int(d) or d < 1:
         raise DataError(f"d must be a positive integer, got {d!r}")
@@ -249,25 +288,23 @@ def residue_via_substitution(z, j, d=1):
         raise DataError(f"component {j!r} does not appear in the terms")
     nj, vj = z.numerical[j]
     d_eff = d * nj
+    # alpha_i * d_eff, with alpha_i = v - (vj / nj) * N
+    ex = {i: d * (v * nj - vj * N) for i, (N, v) in z.numerical.items()}
     parts = []
     for ids, h in z.strata:
         if j not in ids:
             raise DataError("every term must contain the component j")
-        ms = []
-        for i in ids:
-            if i == j:
-                continue
-            N, v = z.numerical[i]
-            # alpha_i * d_eff, with alpha_i = v - (vj / nj) * N
-            m = d * (v * nj - vj * N)
-            if m == 0:
-                raise GenericityError(
-                    f"substitution pole: component {i} has v/N = {vj}/{nj}")
-            ms.append(m)
-        parts.append(_term(tuple(h.items()), tuple(ms), d_eff))
+        ms = tuple([ex[i] for i in ids if i != j])
+        if not all(ms):
+            i = next(i for i in ids if i != j and not ex[i])
+            raise GenericityError(
+                f"substitution pole: component {i} has v/N = {vj}/{nj}")
+        parts.append(_term(tuple(h.items()), ms, d_eff))
     total = ring_sum(parts, d_eff)
+    if total.is_zero():
+        return total
     lm1 = lpow(1, d_eff) - from_int(1, d_eff)
-    return total * lm1 * lpow(vj, d_eff) * lpow(-(z.n + 1), d_eff)
+    return total * (lm1 * lpow(vj, d_eff) * lpow(-(z.n + 1), d_eff))
 
 
 # ---- verdicts ----------------------------------------------------------
@@ -288,8 +325,8 @@ def pole_report(datum):
     except (GenericityError, DataError) as exc:
         rep.add("error", "data", str(exc))
         return rep
-    chi = euler_complement(cfg)
-    conn = is_connected(cfg)
+    chi = cfg._chi
+    conn = cfg._connected
     rep.add("info", "chi", f"chi of the open part of E_j: {chi}")
     rep.add("info", "connectivity",
             "divisor on E_j is connected" if conn

@@ -1,18 +1,22 @@
 """Smoke tests of the benches: a bench that times from cold must clear
 what pvcalc keeps on the objects it sums, not only the module caches,
-or it times a lookup."""
+or it times a lookup; and the residue bench must still run the
+workload's op and count what one op builds."""
 
 import os
 import sys
 
 from pvcalc.pvint import invariant_sum
+from pvcalc.surface import Config, validate
 
 from oracles import chain_config
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benches"))
 
-import bench_ring  # noqa: E402  (benches/bench_ring.py, on the path above)
+import bench_residue  # noqa: E402  (benches/, on the path above)
+import bench_ring  # noqa: E402
+import workloads  # noqa: E402  (perfbench's, on the path caches puts it)
 
 
 def test_bench_ring_sums_from_cold():
@@ -24,3 +28,23 @@ def test_bench_ring_sums_from_cold():
     assert bench_ring.stored(invariant_sum(cfg)) == want
     counts = bench_ring.kernel_counts(cfg)
     assert counts["kernel_calls"] > 0 and counts["terms_out"] > 0
+
+
+def test_bench_ring_clears_every_derived_view():
+    cfg = chain_config(10)
+    validate(cfg)
+    invariant_sum(cfg)
+    cfg._connected, cfg._open, cfg._chi
+    assert set(cfg.__dict__) > set(Config._fields)
+    bench_ring.clear_caches(cfg)
+    assert list(cfg.__dict__) == list(Config._fields)
+
+
+def test_bench_residue_runs_the_tiny_workload():
+    work = workloads.build("residue", 1, tiny=True)
+    work.prepare()
+    seconds = bench_residue.timed_pass(work)
+    assert set(seconds) == set(bench_residue.CALLS)
+    assert all(s >= 0 for s in seconds.values())
+    # one induced Config and one ZMotDatum per op
+    assert bench_residue.builds_per_op(work) == {"config": 1, "zmot": 1}

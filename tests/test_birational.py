@@ -20,7 +20,7 @@ from pvcalc.motring import RingElem, lfactor, lpow, render
 from pvcalc.pvint import e_invariant
 from pvcalc.surface import (Config, Curve, _compute_findings,
                             adjunction_defect, euler_complement, is_allowed,
-                            plane, ruled, validate)
+                            plane, ruled, strata, validate)
 
 from oracles import chain_config, full_delta
 
@@ -525,6 +525,8 @@ def check_like_fresh(cfg):
         got, want = getattr(cfg, view), getattr(new, view)
         assert got == want and list(got) == list(want), view
     assert validate(cfg).findings == list(_compute_findings(new))
+    assert cfg._connected == new._connected
+    assert strata_stored(cfg) == strata_stored(new)
     centers = candidate_centers(new)
     assert candidate_centers(cfg) == centers
     for center in centers + [free()]:
@@ -532,6 +534,40 @@ def check_like_fresh(cfg):
             exceptional_alphas(new, center)
     for prefix in ("E", "U"):
         assert fresh_id(cfg, prefix) == fresh_id(new, prefix)
+
+
+def strata_stored(cfg):
+    return [(ids, list(h.items())) for ids, h in strata(cfg)]
+
+
+def test_moved_configs_compute_connectivity_and_open_class():
+    """A blow_up or blow_down result, even one that inherits its
+    findings, carries neither the connectivity nor the open stratum's
+    class: it computes both on first use, equal to a fresh build's."""
+    rng = random.Random(5)
+    cfg = random_config(3)
+    seen = set()
+    steps = 0
+    while steps < 60:
+        kind = rng.choice(("up", "up", "down"))
+        after = move(cfg, kind, rng.randrange(10 ** 6), rng.randrange(10 ** 6))
+        if after is None:
+            continue
+        steps += 1
+        cfg._connected, cfg._open       # built on the input, not carried
+        assert "_connected" not in vars(after)
+        assert "_open" not in vars(after)
+        new = fresh(after)
+        assert after._connected == new._connected
+        assert validate(after).findings[-1] == _compute_findings(new)[-1]
+        assert strata_stored(after) == strata_stored(new)
+        if "_findings" in vars(after):
+            seen.add(kind)
+        cfg = after
+    up = blow_up(cfg, free())           # E apart from the divisor
+    assert "_findings" in vars(up) and "_connected" not in vars(up)
+    assert up._connected is False and fresh(up)._connected is False
+    assert seen == {"up", "down"}
 
 
 def test_blow_up_carries_views():

@@ -16,7 +16,7 @@ from pvcalc.motring import (HodgePoly, RingElem, euler_realize, from_hodge,
                             from_int, is_zero, legend, lfactor, lpow,
                             numeric_eval, one, parse_ring_elem, render,
                             render_hodge, ring_sum, zero)
-from pvcalc.motring import _int_root
+from pvcalc.motring import _int_root, _normalize
 from pvcalc.pvint import invariant_sum
 
 from oracles import chain_config
@@ -169,6 +169,72 @@ def test_normalization_strips_wpow():
     x = lpow(-2, 2) * lpow(3, 2)     # L^-2 * L^3 = L
     assert x == lpow(1, 2)
     assert x.wpow == 0 and x.cyclo == ()
+
+
+def reference_normalize(d, num, wpow, cyclo):
+    """_normalize with a {k: multiplicity} dict: trial-divide by each k
+    while it divides, largest first, strip the shared w-power, check the
+    weight, and rebuild the sorted factor tuple from the counts."""
+    if not num:
+        return {}, 0, ()
+    counts = Counter(cyclo)
+    for k in sorted(counts, reverse=True):
+        while counts[k]:
+            quo = K.pcyclo_div(num, k)
+            if quo is None:
+                break
+            num = quo
+            counts[k] -= 1
+    if wpow:
+        s = min(wpow, K.pwmin(num))
+        if s:
+            num = K.pwdiv(num, s)
+            wpow -= s
+    weight = max(2 * (key & K.KEY_MASK) + d * abs(key >> K.KEY_SHIFT)
+                 for key in num)
+    if weight > K.KEY_MASK:
+        raise ExponentError(
+            f"exponents too large for packed keys (weight {weight} "
+            f"exceeds 2^{K.KEY_SHIFT} - 1)")
+    return num, wpow, tuple(sorted(counts.elements()))
+
+
+@st.composite
+def normalize_inputs(draw):
+    """(d, num, wpow, cyclo): a random numerator times w^shift and a
+    product of (w^k - 1) factors, over a factor list that holds those
+    factors and more, repeated and in a drawn order (a product
+    concatenates two sorted tuples).  A shift near 2^31 makes the weight
+    overflow a packed key."""
+    d = draw(st.integers(1, 4))
+    num = {K.mkkey(t, c): v for (t, c), v in draw(st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(0, 6)),
+        st.integers(-3, 3).filter(bool), max_size=5)).items()}
+    divides = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6)), max_size=4))
+    for k in divides:
+        num = K.pcyclo_mul(num, k)
+    shift = draw(st.sampled_from((0, 0, 1, 3, 2 ** 31 - 3)))
+    num = K.pshift(num, shift)
+    extra = draw(st.lists(st.sampled_from((1, 2, 3, 4, 5, 6)), max_size=4))
+    cyclo = draw(st.permutations(divides + extra))
+    return d, num, draw(st.integers(0, 5)), tuple(cyclo)
+
+
+def normalized_or_error(fn, d, num, wpow, cyclo):
+    try:
+        num, wpow, cyclo = fn(d, dict(num), wpow, cyclo)
+    except ExponentError as exc:
+        return str(exc)
+    return list(num.items()), wpow, cyclo
+
+
+@settings(max_examples=200, deadline=None)
+@given(normalize_inputs())
+@example((2, K.pcyclo_mul(K.pcyclo_mul({K.mkkey(1, 0): 2, 3: -1}, 2), 2),
+          1, (3, 2, 2, 2, 1)))
+def test_normalize_matches_the_count_dict_loop(case):
+    assert normalized_or_error(_normalize, *case) == \
+        normalized_or_error(reference_normalize, *case)
 
 
 def test_sum_over_common_denominator():

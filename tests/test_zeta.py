@@ -12,7 +12,7 @@ from pvcalc.errors import DataError, GenericityError, SchemaError
 from pvcalc.models import random_config
 from pvcalc.motring import (HodgePoly, from_hodge, from_int, lfactor, lpow,
                             numeric_eval, one, render, ring_sum)
-from pvcalc.surface import Config, strata
+from pvcalc.surface import Config, euler_complement, is_connected, strata
 from pvcalc.zeta import (ResolutionComponent, SurfaceResolutionDatum, ZMotDatum,
                          alphas_from_numerical, build_config, dump_datum,
                          load_datum, pole_report, read_datum,
@@ -126,6 +126,21 @@ def test_build_config():
     assert cfg.points == (("A", "B", 0), ("A", "B", 1))
 
 
+def test_build_config_carries_its_exponents():
+    # components listed out of id order: the carried table is in id
+    # order, as Config.exponents builds it from the alphas
+    datum = SurfaceResolutionDatum(
+        nj=3, vj=2, surface_hodge=PLANE, creation="point",
+        components=(ResolutionComponent("C", 0, 1, 1, 1),
+                    ResolutionComponent("A", 1, 0, 2, 3),
+                    ResolutionComponent("B", 0, 4, 5, 1)))
+    cfg = build_config(datum)
+    carried = cfg.__dict__["exponents"]
+    rebuilt = Config(cfg.d, cfg.ambient_hodge, cfg.curves, cfg.points)
+    assert list(carried.items()) == list(rebuilt.exponents.items())
+    assert list(carried.items()) == [("A", 5), ("B", -7), ("C", 1)]
+
+
 # ---- residues ----------------------------------------------------------------
 
 
@@ -194,11 +209,16 @@ def test_zmot_terms():
     assert terms.strata[0][0] == ("Ej",)
     singles = [ids for ids, _ in terms.strata if len(ids) == 2]
     assert sorted(singles) == [("D1", "Ej"), ("D2", "Ej"), ("D3", "Ej")]
-    # a datum with strata away from j keeps only those through j
+    # every stratum of a surface datum contains j: nothing to filter
+    assert terms is z
+    # a datum with strata away from j keeps only those through j, in a
+    # new datum
     wider = ZMotDatum(2, ((("A",), PLANE), (("A", "Ej"), HodgePoly.one())),
                       {"A": (3, 1), "Ej": (2, 1)})
-    assert zmot_contribution(wider, "Ej").strata == (
-        (("A", "Ej"), HodgePoly.one()),)
+    through = zmot_contribution(wider, "Ej")
+    assert through is not wider
+    assert through.strata == ((("A", "Ej"), HodgePoly.one()),)
+    assert through.n == wider.n and through.numerical == wider.numerical
     with pytest.raises(DataError):
         zmot_contribution(z, "nope")
     with pytest.raises(DataError):
@@ -286,7 +306,17 @@ def test_substitution_needs_positive_int_d(d):
 
 def reference_residue_via_substitution(z, j, d=1):
     """residue_via_substitution as first written: every term built by
-    its own products, each exponent in Fraction arithmetic, no caches."""
+    its own products, each exponent in Fraction arithmetic, no caches,
+    and the sum multiplied by (L-1), L^(v_j) and L^-(n+1) in turn."""
+    total = reference_substitution_sum(z, j, d)
+    nj, vj = z.numerical[j]
+    d_eff = d * nj
+    lm1 = lpow(1, d_eff) - from_int(1, d_eff)
+    return total * lm1 * lpow(vj, d_eff) * lpow(-(z.n + 1), d_eff)
+
+
+def reference_substitution_sum(z, j, d=1):
+    """The sum of the substituted terms, before the prefactor."""
     if all(j not in ids for ids, _ in z.strata):
         raise DataError(f"component {j!r} does not appear in the terms")
     nj, vj = z.numerical[j]
@@ -306,9 +336,7 @@ def reference_residue_via_substitution(z, j, d=1):
                     f"substitution pole: component {i} has v/N = {vj}/{nj}")
             elem = elem * lfactor(a, d_eff)
         parts.append(elem)
-    total = ring_sum(parts, d_eff)
-    lm1 = lpow(1, d_eff) - from_int(1, d_eff)
-    return total * lm1 * lpow(vj, d_eff) * lpow(-(z.n + 1), d_eff)
+    return ring_sum(parts, d_eff)
 
 
 def numerical_data(cfg, scale):
@@ -410,6 +438,36 @@ def test_residue_ops_on_one_datum_build_one_config(monkeypatch):
     assert len(built) == 3
 
 
+def test_residue_ops_keep_nothing_on_the_datum():
+    # the induced Config lives in zeta's cache, not on the datum: a datum
+    # passed again after the caches are cleared is computed afresh
+    data = [triangle_datum(), conic_datum(), two_conics_datum(),
+            two_conics_datum(creation="rational_curve")]
+    clear_caches()
+    for datum in data:
+        residue_contribution(datum)
+        pole_report(datum)
+        zmot_from_surface(datum)
+        hash(datum)
+        assert list(datum.__dict__) == list(datum._fields)
+
+
+def test_pole_report_reads_the_induced_config():
+    for datum in (triangle_datum(), conic_datum(), two_conics_datum(),
+                  two_conics_datum(creation="rational_curve")):
+        clear_caches()
+        cfg = build_config(datum)
+        chi, conn = euler_complement(cfg), is_connected(cfg)
+        found = {f.code: f.message for f in pole_report(datum).findings}
+        assert found["chi"] == f"chi of the open part of E_j: {chi}"
+        assert found["connectivity"] == (
+            "divisor on E_j is connected" if conn
+            else "divisor on E_j is disconnected")
+    # both connectivity verdicts occur above
+    assert is_connected(build_config(triangle_datum()))
+    assert not is_connected(build_config(two_conics_datum()))
+
+
 def residue_results(datum):
     """The stored forms of every residue op on datum, or their errors."""
     z = zmot_from_surface(datum)
@@ -440,6 +498,28 @@ def test_residue_ops_keep_each_surface_class_order():
     clear_caches()
     for k in (0, 1, 0):
         assert residue_results(data[k]) == cold[k]
+
+
+def test_substitution_prefactor_stores_the_sequential_tail():
+    # one product by (L-1) L^(v_j) L^-(n+1) stores what the three
+    # products in turn store, key order included
+    for datum in (conic_datum(), two_conics_datum()):
+        terms = zmot_contribution(zmot_from_surface(datum), "Ej")
+        for d in (1, 2, 3):
+            total = reference_substitution_sum(terms, "Ej", d)
+            assert not total.is_zero()
+            d_eff = d * datum.nj
+            lm1 = lpow(1, d_eff) - from_int(1, d_eff)
+            tail = (total * lm1 * lpow(datum.vj, d_eff)
+                    * lpow(-(terms.n + 1), d_eff))
+            got = residue_via_substitution(terms, "Ej", d)
+            assert got.d == d_eff
+            assert (list(got.num.items()), got.wpow, got.cyclo) == \
+                (list(tail.num.items()), tail.wpow, tail.cyclo)
+    terms = zmot_contribution(zmot_from_surface(triangle_datum()), "Ej")
+    for d in (1, 3):
+        got = residue_via_substitution(terms, "Ej", d)
+        assert (got.d, got.num, got.wpow, got.cyclo) == (2 * d, {}, 0, ())
 
 
 def test_substitution_matches_fraction_reference_on_data():
