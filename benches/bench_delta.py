@@ -6,7 +6,8 @@ center plus free(); one pass computes every delta, on fresh Config
 objects and after clearing the caches; best of 3 passes.
 
 Chain: random_config(3) blown up 640 times at non-exceptional on-divisor
-centers drawn with random.Random(1); at 40, 80, 160, 320 and 640
+centers drawn with random.Random(1) by models.blowup_chain (chain(), the
+chain every bench builds); at 40, 80, 160, 320 and 640
 blow-ups, the first 10 candidate centers, each delta timed on its own
 with the caches cleared before it (best of 3).
 
@@ -24,9 +25,8 @@ import time
 
 import pvcalc._kernel as kernel
 import pvcalc.surface as surface
-from pvcalc.birational import (blow_up, free, invariance_delta,
-                               is_exceptional_center)
-from pvcalc.models import candidate_centers, random_config
+from pvcalc.birational import blow_up, free, invariance_delta
+from pvcalc.models import blowup_chain, candidate_centers, random_config
 from pvcalc.pvint import e_invariant
 
 from caches import clear_caches
@@ -78,17 +78,19 @@ def time_sweep(pairs, fn):
     return best, results
 
 
-def chain_checkpoints():
-    rng = random.Random(1)
-    cfg = random_config(3)
-    out = {}
-    for step in range(1, CHECKPOINTS[-1] + 1):
-        centers = [c for c in candidate_centers(cfg)
-                   if not is_exceptional_center(cfg, c)]
-        cfg = blow_up(cfg, rng.choice(centers))
-        if step in CHECKPOINTS:
-            out[step] = cfg
-    return out
+def chain(steps):
+    """(blow-ups, Config) after each of the chain's first steps
+    blow-ups: random_config(3) blown up at non-exceptional on-divisor
+    centers drawn with random.Random(1), by models.blowup_chain.  The
+    base is built when this is called, the blow-ups as they are read."""
+    made = blowup_chain(random_config(3), steps, random.Random(1))
+    return enumerate(made, 1)
+
+
+def chain_checkpoints(checkpoints=CHECKPOINTS):
+    """The chain's Config at each of the ascending checkpoints."""
+    return {step: cfg for step, cfg in chain(checkpoints[-1])
+            if step in checkpoints}
 
 
 def time_one(cfg, center, fn):

@@ -2,9 +2,10 @@
 ring_sum alone on the sums of the chain, sweep and residue workloads.
 
 Builds random_config(3) and blows it up 160 times at non-exceptional
-on-divisor centers drawn with random.Random(1).  After 40, 80 and 160
-blow-ups it times invariant_sum (best of 3, caches cleared before each
-call) and, in one separate untimed call, counts the kernel work:
+on-divisor centers drawn with random.Random(1), by bench_delta's
+chain_checkpoints.  After 40, 80 and 160 blow-ups it times
+invariant_sum (best of 3, caches cleared before each call) and, in one
+separate untimed call, counts the kernel work:
 calls of the dict kernel ops, pcyclo_mul calls among them, and the
 monomials that they put out.  It also times invariant_sum's stages on
 their own (best of 3 each, from cold): the exponent table, the walk
@@ -23,7 +24,6 @@ import argparse
 import json
 import os
 import platform
-import random
 import sys
 import time
 
@@ -31,28 +31,14 @@ import pvcalc._kernel as kernel
 import pvcalc.motring as motring
 import pvcalc.pvint as pvint
 import pvcalc.surface as surface
-from pvcalc.birational import blow_up, is_exceptional_center
-from pvcalc.models import candidate_centers, random_config
 from pvcalc.pvint import invariant_sum
 
 import caches
+from bench_delta import chain_checkpoints
 
 CHECKPOINTS = (40, 80, 160)
 COUNTED_OPS = ("pcyclo_mul", "pcyclo_div", "pmul", "padd")
 PASS_SUM_WORKLOADS = ("chain", "sweep", "residue")
-
-
-def chain_checkpoints():
-    rng = random.Random(1)
-    cfg = random_config(3)
-    out = {}
-    for step in range(1, CHECKPOINTS[-1] + 1):
-        centers = [c for c in candidate_centers(cfg)
-                   if not is_exceptional_center(cfg, c)]
-        cfg = blow_up(cfg, rng.choice(centers))
-        if step in CHECKPOINTS:
-            out[step] = cfg
-    return out
 
 
 def clear_caches(cfg):
@@ -184,7 +170,7 @@ def main():
     args = ap.parse_args()
 
     rows = []
-    for blowups, cfg in chain_checkpoints().items():
+    for blowups, cfg in chain_checkpoints(CHECKPOINTS).items():
         seconds, result = best_time(cfg)
         stages, staged = stage_times(cfg)
         if stored(staged) != stored(result):

@@ -6,9 +6,9 @@ Sweep: one pass of invariance_delta over bench_delta's sweep pairs
 plus free()), on fresh Config objects with the caches cleared; best of
 3 passes.
 
-Chain: random_config(3) blown up 160 times at non-exceptional on-divisor
-centers drawn with random.Random(1), as bench_delta builds it; the time
-to reach 40, 80 and 160 blow-ups, best of 3 builds.
+Chain: random_config(3) blown up 640 times at non-exceptional on-divisor
+centers drawn with random.Random(1), bench_delta's chain; the time from
+the base to 40, 80, 160, 320 and 640 blow-ups, best of 3 builds.
 
 Outside the timed regions, every blown-up Config of both is checked:
 the findings validate returns for it equal those _compute_findings
@@ -21,15 +21,13 @@ import argparse
 import json
 import os
 import platform
-import random
 import time
 
-from bench_delta import (CHECKPOINTS, REPEAT, SWEEP_SEEDS, clear_caches,
-                         fresh, sweep_pairs, time_sweep)
+from bench_delta import (CHECKPOINTS, REPEAT, SWEEP_SEEDS, chain,
+                         clear_caches, fresh, sweep_pairs, time_sweep)
 
 import pvcalc._kernel as kernel
-from pvcalc.birational import blow_up, invariance_delta, is_exceptional_center
-from pvcalc.models import candidate_centers, random_config
+from pvcalc.birational import blow_up, invariance_delta
 from pvcalc.surface import _compute_findings, validate
 
 
@@ -41,19 +39,16 @@ def check_findings(configs):
     return len(configs)
 
 
-def build_chain():
-    """The chain's Configs in order, and the seconds taken to reach each
-    checkpoint."""
-    rng = random.Random(1)
-    cfg = random_config(3)
+def build_chain(checkpoints=CHECKPOINTS):
+    """bench_delta's chain's Configs in order, up to the last of the
+    ascending checkpoints, and the seconds taken from its base to reach
+    each checkpoint."""
+    steps = chain(checkpoints[-1])
     made, seconds = [], {}
     t0 = time.perf_counter()
-    for step in range(1, CHECKPOINTS[-1] + 1):
-        centers = [c for c in candidate_centers(cfg)
-                   if not is_exceptional_center(cfg, c)]
-        cfg = blow_up(cfg, rng.choice(centers))
+    for step, cfg in steps:
         made.append(cfg)
-        if step in CHECKPOINTS:
+        if step in checkpoints:
             seconds[step] = time.perf_counter() - t0
     return made, seconds
 

@@ -386,6 +386,29 @@ def is_exceptional_center(config, center):
     return exceptional_alphas(config, center) is not None
 
 
+def _exceptional_positions(config):
+    """The positions in _centers(config) of the centers that
+    exceptional_alphas accepts, ascending: the curve center of each
+    curve in the pattern table, and each point that curve shares with
+    an alpha = 1 neighbour.  Read from the pattern table, with the
+    points and curves found by bisection, so the cost follows the
+    patterns, not the size of the configuration."""
+    table, ones = _patterns(config)
+    pts = config.points
+    skip = []
+    for i in table:
+        skip.append(len(pts) + bisect_left(config.curves, i, key=_curve_id))
+        for j in config.neighbors[i]:
+            if j in ones:
+                pair = (i, j) if i < j else (j, i)
+                at = bisect_left(pts, pair)
+                while at < len(pts) and pts[at][:2] == pair:
+                    skip.append(at)
+                    at += 1
+    skip.sort()
+    return skip
+
+
 def invariance_delta(config, center):
     """e_invariant(blow_up(config, center)) - e_invariant(config).
 

@@ -16,8 +16,9 @@ from fractions import Fraction
 import math
 import random
 
-from .birational import (_centers, at_point, blow_down, blow_up,
-                         inverse_center, is_exceptional_center)
+from .birational import (_centers, _exceptional_positions, at_point,
+                         blow_down, blow_up, inverse_center,
+                         is_exceptional_center)
 from .errors import ConfigError, GeneratorError, PvError
 from .motring import HodgePoly
 from .pvint import e_invariant
@@ -230,6 +231,41 @@ def candidate_centers(config):
     return list(_centers(config))
 
 
+def _draw(config, rng):
+    """A non-exceptional on-divisor center of config drawn with rng, or
+    None when there is none.
+
+    The draw is rng.choice of the non-exceptional candidates in
+    candidate order, without listing them: it picks among their number
+    and steps the pick past the exceptional positions at or below it,
+    so rng makes the same call and the same center comes out.
+    """
+    centers = _centers(config)
+    skip = _exceptional_positions(config)
+    n = len(centers) - len(skip)
+    if not n:
+        return None
+    i = rng.choice(range(n))
+    for s in skip:
+        if s > i:
+            break
+        i += 1
+    return centers[i]
+
+
+def blowup_chain(config, steps, rng):
+    """Yield the configuration after each of up to steps blow-ups of
+    config, each at a non-exceptional on-divisor center drawn with rng;
+    stop early when no such center is left.  Every yielded
+    configuration thus has config's invariant."""
+    for _ in range(steps):
+        center = _draw(config, rng)
+        if center is None:
+            return
+        config = blow_up(config, center)
+        yield config
+
+
 def random_config(seed, max_blowups=3):
     """Deterministic valid configuration with invariant zero.
 
@@ -242,12 +278,8 @@ def random_config(seed, max_blowups=3):
     for _ in range(24):
         try:
             cfg = _random_base(rng)
-            for _ in range(rng.randint(0, max_blowups)):
-                centers = [c for c in candidate_centers(cfg)
-                           if not is_exceptional_center(cfg, c)]
-                if not centers:
-                    break
-                cfg = blow_up(cfg, rng.choice(centers))
+            for cfg in blowup_chain(cfg, rng.randint(0, max_blowups), rng):
+                pass            # keep the last configuration
             if (validate(cfg).ok and is_connected(cfg)
                     and euler_complement(cfg) <= 0):
                 return cfg

@@ -147,7 +147,7 @@ class HodgePoly:
         return self._plus(other, -1)
 
     def _plus(self, other, sign):
-        if isinstance(other, int):
+        if _is_int(other):
             other = HodgePoly.scalar(other)
         if not isinstance(other, HodgePoly):
             return NotImplemented
@@ -162,7 +162,7 @@ class HodgePoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if _is_int(other):
             if not other:
                 return HodgePoly.zero()
             return _hodge({k: other * v for k, v in self._terms.items()})
@@ -372,7 +372,7 @@ class RingElem:
             raise ContextError(f"mixed contexts d = {self.d} and d = {other.d}")
 
     def _coerce(self, other):
-        if isinstance(other, int):
+        if _is_int(other):
             return from_int(other, self.d)
         if isinstance(other, RingElem):
             self._check(other)

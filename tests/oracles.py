@@ -7,8 +7,13 @@ computes the Euler realization as euler_realize(e_invariant(config)).
 full_delta is the blow-up delta as the difference of two whole
 invariants; the package sums only the strata the blow-up changes.
 
+reference_chain is the plain draw loop: list every candidate center,
+keep those is_exceptional_center rejects, rng.choice among them, blow
+up.  models.blowup_chain must draw the same centers without listing
+them, and the tests check it against this loop.
+
 chain_config is a shared input, not an oracle: the long blow-up chain
-whose invariant sums are large.
+whose invariant sums are large, built by models.blowup_chain.
 """
 
 import random
@@ -16,7 +21,7 @@ from fractions import Fraction
 
 from pvcalc.birational import blow_up, is_exceptional_center
 from pvcalc.errors import ValidationError
-from pvcalc.models import candidate_centers, random_config
+from pvcalc.models import blowup_chain, candidate_centers, random_config
 from pvcalc.pvint import e_invariant
 from pvcalc.surface import stratum_class, validate
 
@@ -56,13 +61,23 @@ def full_delta(config, center):
     return e_invariant(blow_up(config, center)) - e_invariant(config)
 
 
+def reference_chain(config, steps, rng):
+    """What models.blowup_chain yields, by the plain loop: after each of
+    up to steps blow-ups, the configuration, each center rng.choice of
+    the non-exceptional candidates; stops when none is left."""
+    for _ in range(steps):
+        centers = [c for c in candidate_centers(config)
+                   if not is_exceptional_center(config, c)]
+        if not centers:
+            return
+        config = blow_up(config, rng.choice(centers))
+        yield config
+
+
 def chain_config(blowups):
     """random_config(3) after `blowups` non-exceptional on-divisor
     blow-ups drawn with random.Random(1); its invariant is zero."""
-    rng = random.Random(1)
     cfg = random_config(3)
-    for _ in range(blowups):
-        cfg = blow_up(cfg, rng.choice(
-            [c for c in candidate_centers(cfg)
-             if not is_exceptional_center(cfg, c)]))
+    for cfg in blowup_chain(cfg, blowups, random.Random(1)):
+        pass
     return cfg

@@ -1,7 +1,8 @@
 """Smoke tests of the benches: a bench that times from cold must clear
 what pvcalc keeps on the objects it sums, not only the module caches,
-or it times a lookup; and the residue bench must still run the
-workload's op and count what one op builds."""
+or it times a lookup; the residue bench must still run the workload's
+op and count what one op builds; and every bench that builds the
+blow-up chain must build the tests' chain_config."""
 
 import os
 import sys
@@ -14,8 +15,11 @@ from oracles import chain_config
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benches"))
 
-import bench_residue  # noqa: E402  (benches/, on the path above)
+import bench_delta  # noqa: E402  (benches/, on the path above)
+import bench_moves  # noqa: E402
+import bench_residue  # noqa: E402
 import bench_ring  # noqa: E402
+import bench_validate  # noqa: E402
 import workloads  # noqa: E402  (perfbench's, on the path caches puts it)
 
 
@@ -48,3 +52,14 @@ def test_bench_residue_runs_the_tiny_workload():
     assert all(s >= 0 for s in seconds.values())
     # one induced Config and one ZMotDatum per op
     assert bench_residue.builds_per_op(work) == {"config": 1, "zmot": 1}
+
+
+def test_bench_chains_are_chain_config():
+    want = chain_config(40)
+    assert bench_ring.chain_checkpoints is bench_delta.chain_checkpoints
+    assert bench_delta.chain_checkpoints((20, 40)) == {
+        20: chain_config(20), 40: want}
+    made, seconds = bench_validate.build_chain((40,))
+    assert len(made) == 40 and made[-1] == want and list(seconds) == [40]
+    [(step, cfg, build_s)] = bench_moves.checkpoints((40,))
+    assert step == 40 and cfg == want and build_s > 0

@@ -1,18 +1,23 @@
 """Model builders, the scripted pipeline, and random generation."""
 
+import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
-from pvcalc.birational import at_point, is_exceptional_center, on_curve
+from pvcalc.birational import (_exceptional_positions, at_point,
+                               is_exceptional_center, on_curve)
 from pvcalc.errors import ConfigError
-from pvcalc.models import (candidate_centers, case_c_resolved,
+from pvcalc.models import (blowup_chain, candidate_centers, case_c_resolved,
                            conic_pipeline_demo, hirzebruch_case_a,
                            hirzebruch_case_b, plane_conic, random_config)
 from pvcalc.motring import render
 from pvcalc.pvint import e_invariant
-from pvcalc.surface import (adjunction_defect, euler_complement, is_connected,
-                            validate)
+from pvcalc.surface import (Config, adjunction_defect, euler_complement,
+                            is_connected, plane, validate)
+
+from oracles import reference_chain
 
 F = Fraction
 
@@ -165,3 +170,37 @@ def test_random_config_blowups_stay_nonexceptional():
         if is_exceptional_center(cfg, center):
             continue
         assert e_invariant(blow_up(cfg, center)).is_zero()
+
+
+# Configs (base included) among the first 321 of each chain whose
+# pattern table names an exceptional center; bases 0 and 11 offer their
+# first at 439 and 329 blow-ups
+PATTERN_STEPS = {0: 0, 3: 315, 7: 91, 11: 0}
+
+
+@pytest.mark.parametrize("seed", sorted(PATTERN_STEPS))
+def test_blowup_chain_draws_as_the_reference_loop(seed):
+    """At every step to 320 blow-ups of random_config(seed), the
+    exceptional positions are those of the candidates
+    is_exceptional_center accepts, and the chain is the plain loop's."""
+    base = random_config(seed)
+    steps = zip_longest(blowup_chain(base, 320, random.Random(1)),
+                        reference_chain(base, 320, random.Random(1)))
+    with_patterns = 0
+    for cfg, want in [(base, base)] + list(steps):
+        # distinct centers leave distinct points, so equal points at
+        # every step mean the same draws (a full compare costs more)
+        assert cfg.points == want.points
+        skip = _exceptional_positions(cfg)
+        assert skip == [i for i, c in enumerate(candidate_centers(cfg))
+                        if is_exceptional_center(cfg, c)]
+        with_patterns += bool(skip)
+    assert cfg == want
+    assert with_patterns == PATTERN_STEPS[seed]
+
+
+def test_blowup_chain_stops_when_no_center_is_left():
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert list(blowup_chain(Config(1, plane()), 5, rng)) == []
+    assert rng.getstate() == state

@@ -1,5 +1,6 @@
 """Realization ring: normal forms, oracles, rendering, specializations."""
 
+import operator
 import time
 from collections import Counter
 from fractions import Fraction
@@ -59,6 +60,21 @@ def test_hodge_arithmetic_and_hash():
     assert 3 * HodgePoly.one() == HodgePoly.scalar(3)
     assert hash(a + b) == hash(HodgePoly.scalar(1))
     assert (a * b).coeff(2, 2) == -4
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                         ids=["add", "sub", "mul"])
+def test_bool_operand_is_a_type_error(op):
+    # a bool is never a coefficient: before, HodgePoly.one() * True was
+    # a HodgePoly, HodgePoly.one() + True a ValueError, and a RingElem
+    # read True as 1
+    for x in (HodgePoly.one(), from_int(1, 2)):
+        for flag in (True, False):
+            with pytest.raises(TypeError):
+                op(x, flag)
+            with pytest.raises(TypeError):
+                op(flag, x)
+        assert x == 1 and x != True
 
 
 # ---- lfactor / lpow oracles --------------------------------------------
