@@ -182,6 +182,29 @@ def klift(x, s, mask, ks, bits):
     return x
 
 
+def kcount(x, nbytes):
+    """The number of nonzero digits of packed x.
+
+    Adding 2^(bits - 1) to every digit up to the top one makes each
+    digit nonnegative with no carry, as in kunpack, and an xor with the
+    same digits leaves zero exactly the digits that were zero.  Or-ing
+    each digit's bits down into its lowest bit, by shifts that double
+    the bits it covers and stop at bits - 1 in all, so that no bit
+    reaches a lower digit, leaves one bit set per nonzero digit: a few
+    big-int operations, no loop over the digits."""
+    bits = 8 * nbytes
+    digits = x.bit_length() // bits + 1
+    ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * digits, "little")
+    half = ones << (bits - 1)
+    y = (x + half) ^ half
+    covered = 0             # y's lowest bit of a digit ors this many above
+    while covered < bits - 1:
+        s = min(covered + 1, bits - 1 - covered)
+        y |= y >> s
+        covered += s
+    return (y & ones).bit_count()
+
+
 def kunpack(x, nbytes, width, tmin):
     """The dict of packed x, keys ascending."""
     out = {}

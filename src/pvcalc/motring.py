@@ -32,7 +32,9 @@ one layer per multiplicity, so a node's lcm is a bitwise or and the
 factors a child lacks are the bits the or adds.  A sum whose packed
 root would hold more digits than its sparse root could hold monomials
 keeps kernel dicts and factor-count dicts, whose lift order fixes the
-key order of the stored root (see ring_sum).
+key order of the stored root (see ring_sum).  _packed_sum applies the
+same plan, size rule and packed tree to numerators that pvint's
+stratum sum packs itself, with no RingElem per term.
 
 A w-exponent must fit the c field of the kernel's packed keys, or it
 would carry into the u/v field.  Constructors and sums check the
@@ -423,7 +425,7 @@ class RingElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             return NotImplemented
         out = one(self.d)
         base = self
@@ -467,8 +469,11 @@ def one(d):
 
 
 def from_int(n, d):
+    """The integer n in the level-d ring; n must be an int (not a bool)."""
+    if not _is_int(n):
+        raise ValueError(f"from_int needs an int, got {n!r}")
     _check_context(d)
-    return _make(d, {0: int(n)} if n else {})
+    return _make(d, {0: n} if n else {})
 
 
 def from_hodge(h, d):
@@ -636,18 +641,12 @@ def _lift_and_add(groups):
     the size rule of ring_sum; bitmask denominators are built only for
     a sum that the rule packs."""
     mask, shift = K.KEY_MASK, K.KEY_SHIFT
-    nodes, plan = [], []
+    nodes, plan, nums = [], [], []
     wp, union = 0, {}
     excess = dmax = tmax = -inf
     tmin = inf
     for (wpow, cyclo), num in sorted(groups.items()):
-        # cyclo is sorted, so a factor's copies are consecutive
-        prev = mult = 0
-        for k in cyclo:
-            mult = mult + 1 if k == prev else 1
-            prev = k
-            if mult > union.get(k, 0):
-                union[k] = mult
+        _widen(union, cyclo)
         if wpow > wp:
             wp = wpow
         nodes.append((wpow, cyclo, num))
@@ -658,7 +657,8 @@ def _lift_and_add(groups):
             # keys order by u/v exponent first, so with one component
             # the largest key has the largest w-exponent
             deg += hi & mask if tlo == thi else _wdeg(num)
-            plan.append((deg, len(cyclo), num, tlo, thi))
+            plan.append((deg, len(cyclo), len(num), tlo, thi))
+            nums.append((len(cyclo), num))
             if deg > dmax:
                 dmax = deg
             if tlo < tmin:
@@ -677,23 +677,121 @@ def _lift_and_add(groups):
             _check_wdeg(top - wpow - sum(cyclo) + _wdeg(num))
     if not plan:
         return wp, union, {}
-    nfactors = sum(union.values())
     width = top + dmax + 1
-    sparse = 0
-    for deg, r, num, tlo, thi in plan:
-        sparse += min(len(num) << nfactors - r,
-                      (top + deg + 1) * (thi - tlo + 1))
-    if width * (tmax - tmin + 1) > sparse:
+    if not _packs(plan, union, top, width * (tmax - tmin + 1)):
         return wp, union, _tree([(wpow, _counts(cyclo), num)
                                  for wpow, cyclo, num in nodes])
+    nfactors = sum(union.values())
     bound = sum(sum(map(abs, num.values())) << nfactors - r
-                for _, r, num, _, _ in plan)
+                for r, num in nums)
     nbytes = (bound.bit_length() + 8) // 8
+    packed = [(wpow, cyclo, K.kpack(num, nbytes, width, tmin))
+              for wpow, cyclo, num in nodes]
+    return wp, union, _packed_root(packed, union, nbytes, width, tmin)
+
+
+def _widen(union, cyclo):
+    """Raise the {k: multiplicity} lcm union, in place, to cover the
+    sorted factor tuple cyclo, whose copies of a factor are adjacent."""
+    prev = mult = 0
+    for k in cyclo:
+        mult = mult + 1 if k == prev else 1
+        prev = k
+        if mult > union.get(k, 0):
+            union[k] = mult
+
+
+def _packs(plan, union, top, digits):
+    """ring_sum's size rule: True when a packed root of this many
+    digits is no larger than the bound on the sparse root, summed over
+    the (degree at the root beyond top, factor count, monomial count,
+    lowest and highest u/v exponent) of each nonempty group in plan."""
+    nfactors = sum(union.values())
+    sparse = 0
+    for deg, r, n, tlo, thi in plan:
+        sparse += min(n << nfactors - r, (top + deg + 1) * (thi - tlo + 1))
+    return digits <= sparse
+
+
+def _packed_root(nodes, union, nbytes, width, tmin):
+    """The root numerator, keys ascending, of (wpow, factors, packed
+    numerator) nodes whose lcm is union, by the packed tree."""
     packed, ks = _masks(nodes, union)
-    packed = [(wpow, m, K.kpack(num, nbytes, width, tmin))
-              for wpow, m, num in packed]
-    x = _packed_tree(packed, ks, 8 * nbytes)
-    return wp, union, K.kunpack(x, nbytes, width, tmin)
+    return K.kunpack(_packed_tree(packed, ks, 8 * nbytes), nbytes, width,
+                     tmin)
+
+
+def _packed_sum(groups, union, nbytes):
+    """(root numerator, keys ascending) of the ring_sum of terms with
+    no w-power given as packed groups, or None where ring_sum would
+    take another path to a nonzero root.
+
+    groups maps each sorted factor tuple to the summed numerator of its
+    terms as {t: x}, x the u/v component t packed from c = 0 at
+    nbytes-byte digits, and union is the lcm of the tuples.  Every
+    coefficient of these components and of the root must be below
+    2^(8*nbytes - 1) in absolute value.  The plan, the guard and the
+    size rule are _lift_and_add's, read from the components: a nonzero
+    component's top digit is its bit length over the digit size, as in
+    kunpack.  A guard that would raise, and a nonzero sum of one group
+    or one that the rule keeps on dicts, give None; the rule's dict
+    tree tells a zero root."""
+    bits = 8 * nbytes
+    top = sum(k * mult for k, mult in union.items())
+    nfactors = sum(union.values())
+    plan = []
+    excess = dmax = tmax = -inf
+    tmin = inf
+    for cyclo, comps in groups.items():
+        deg = -sum(cyclo)
+        ts = [t for t, x in comps.items() if x]
+        if ts:
+            deg += max([abs(comps[t]).bit_length() for t in ts]) // bits
+            tlo, thi = min(ts), max(ts)
+            # the rule takes the least of n << (nfactors - r) and the
+            # dense count, which n = 1 already reaches or passes
+            n = 1
+            if 1 << nfactors - len(cyclo) < (top + deg + 1) * (thi - tlo + 1):
+                n = sum([K.kcount(comps[t], nbytes) for t in ts])
+            plan.append((deg, len(cyclo), n, tlo, thi))
+            if deg > dmax:
+                dmax = deg
+            if tlo < tmin:
+                tmin = tlo
+            if thi > tmax:
+                tmax = thi
+        if deg > excess:
+            excess = deg
+    if top + excess > K.KEY_MASK:
+        return None
+    if not plan:
+        return {}
+    if len(groups) == 1:
+        return None
+    # in denominator order, as _lift_and_add's, so that the tree pairs
+    # groups whose denominators are alike
+    groups = sorted(groups.items())
+    width = top + dmax + 1
+    if not _packs(plan, union, top, width * (tmax - tmin + 1)):
+        # the dict tree stores the key order of its lifts, which only a
+        # nonzero root shows: a zero root is zero on either path
+        root = _tree([(0, _counts(cyclo), _unpacked(comps, nbytes))
+                      for cyclo, comps in groups])
+        return None if root else {}
+    nodes = [(0, cyclo, sum([x << bits * width * (t - tmin)
+                             for t, x in comps.items() if x]))
+             for cyclo, comps in groups]
+    return _packed_root(nodes, union, nbytes, width, tmin)
+
+
+def _unpacked(comps, nbytes):
+    """The kernel dict of {t: x} packed components, as _packed_sum
+    takes them."""
+    num = {}
+    for t, x in comps.items():
+        num.update((c + (t << K.KEY_SHIFT), v) for c, v in
+                   K.kunpack(x, nbytes, K.KEY_MASK + 1, 0).items())
+    return num
 
 
 def ring_sum(terms, d=None):

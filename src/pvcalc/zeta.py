@@ -21,16 +21,17 @@ induced Config, kept in a small cache keyed by the datum, never on the
 datum itself, whose sum, findings, chi, connectivity and open stratum
 class are computed once on it.  zmot_from_surface builds the one
 ZMotDatum of the op, which zmot_contribution returns as it is, since
-every stratum contains E_j; residue_via_substitution multiplies its
-sum by a single prefactor.
+every stratum contains E_j; residue_via_substitution sums the same
+strata as the residue, which stratum_sum's cache holds, and multiplies
+the sum by a single prefactor.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConfigError, DataError, GenericityError, SchemaError
-from .motring import HodgePoly, _is_int, from_int, lpow, ring_sum
-from .pvint import _term, invariant_sum
+from .motring import HodgePoly, _is_int, from_int, lpow
+from .pvint import invariant_sum, stratum_sum
 from .surface import (Config, Curve, Report, _Frozen, _ambient_from_json,
                       _ambient_to_json, _read_json, _write_json, strata,
                       validate)
@@ -275,12 +276,15 @@ def residue_via_substitution(z, j, d=1):
     collapses to (L-1)/(L^alpha_i - 1); the j-factor leaves
     (L-1) L^(v_j) behind, and the whole sum carries L^-(n+1).
 
-    Each component's alpha_i * d * N_j is converted once per call.  A
-    zero sum is returned as it is; a nonzero one is multiplied once by
-    the prefactor (L-1) L^(v_j) L^-(n+1).  That stores what the three
-    products in turn store: a power of w changes no divisibility by a
-    (w^k - 1), and the w-powers stripped in one product or in three
-    leave the same form.
+    Each component's alpha_i * d * N_j is converted once per call, and
+    the terms are summed by pvint.stratum_sum, as the induced
+    configuration's invariant is: at d = 1 the strata of
+    zmot_from_surface are that invariant's, so the second sum is a hit
+    in stratum_sum's cache.  A zero sum is returned as it is; a nonzero
+    one is multiplied once by the prefactor (L-1) L^(v_j) L^-(n+1).
+    That stores what the three products in turn store: a power of w
+    changes no divisibility by a (w^k - 1), and the w-powers stripped
+    in one product or in three leave the same form.
     """
     if not _is_int(d) or d < 1:
         raise DataError(f"d must be a positive integer, got {d!r}")
@@ -299,8 +303,8 @@ def residue_via_substitution(z, j, d=1):
             i = next(i for i in ids if i != j and not ex[i])
             raise GenericityError(
                 f"substitution pole: component {i} has v/N = {vj}/{nj}")
-        parts.append(_term(tuple(h.items()), ms, d_eff))
-    total = ring_sum(parts, d_eff)
+        parts.append((ms, h))
+    total = stratum_sum(parts, (), d_eff)
     if total.is_zero():
         return total
     lm1 = lpow(1, d_eff) - from_int(1, d_eff)

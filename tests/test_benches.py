@@ -32,6 +32,17 @@ def test_bench_ring_sums_from_cold():
     assert bench_ring.stored(invariant_sum(cfg)) == want
     counts = bench_ring.kernel_counts(cfg)
     assert counts["kernel_calls"] > 0 and counts["terms_out"] > 0
+    # the chain's sum runs packed: no dict kernel op lifts it
+    assert counts["packed_calls"] == counts["kernel_calls"]
+    sums, summed = bench_ring.sum_times(cfg, repeat=1)
+    assert set(sums) == set(bench_ring.SUMS)
+    assert bench_ring.stored(summed) == want
+
+
+def test_bench_ring_nonzero_chain_meets_its_closed_form():
+    [(cfg, closed, steps)] = bench_ring.nonzero_checkpoints(3, (40,)).values()
+    assert len(cfg.curves) > 40 and steps > 0 and not closed.is_zero()
+    assert invariant_sum(cfg) == closed
 
 
 def test_bench_ring_clears_every_derived_view():

@@ -136,3 +136,16 @@ def test_pmul_distributes(a, b, c, d):
 @given(polys, polys, polys, dctx)
 def test_pmul_associates(a, b, c, d):
     assert K.pmul(K.pmul(a, b, d), c, d) == K.pmul(a, K.pmul(b, c, d), d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_kcount_counts_the_nonzero_digits(nbytes, data):
+    # every coefficient up to the digit's limit, so that digits next to
+    # each other borrow and carry when packed
+    limit = 2 ** (8 * nbytes - 1) - 1
+    coeff = st.one_of(st.integers(-limit, limit), st.sampled_from(
+        (limit, -limit, 1, -1))).filter(bool)
+    a = data.draw(st.dictionaries(st.integers(0, 40), coeff, max_size=12))
+    x = K.kpack({K.mkkey(0, c): v for c, v in a.items()}, nbytes, 41, 0)
+    assert K.kcount(x, nbytes) == len(a)

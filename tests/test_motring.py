@@ -77,6 +77,24 @@ def test_bool_operand_is_a_type_error(op):
         assert x == 1 and x != True
 
 
+@pytest.mark.parametrize("n", [0.5, 2.7, True, False, F(2), "2"])
+def test_from_int_refuses_every_non_int(n):
+    # before, from_int(0.5, 2) stored {0: 0}: it rendered as 0, yet
+    # is_zero() was False; 2.7 became 2 and True became 1
+    with pytest.raises(ValueError, match="from_int needs an int"):
+        from_int(n, 2)
+    assert from_int(0, 2).is_zero() and from_int(-3, 2) == -3
+
+
+def test_bool_exponent_is_a_type_error():
+    # before, lpow(1, 2) ** True returned w^2
+    x = lpow(1, 2)
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            x ** flag
+    assert x ** 1 == x and (x ** 0).num == {0: 1}
+
+
 # ---- lfactor / lpow oracles --------------------------------------------
 
 
@@ -736,10 +754,10 @@ def test_chain_invariant_sum_runs_packed(monkeypatch):
             return real(*args)
         return spy
 
-    for op in ("pcyclo_mul", "kpack"):
+    for op in ("pcyclo_mul", "klift"):
         monkeypatch.setattr(K, op, counting(op, getattr(K, op)))
     assert invariant_sum(cfg).is_zero()
-    assert calls["pcyclo_mul"] == 0 and calls["kpack"] > 0
+    assert calls["pcyclo_mul"] == 0 and calls["klift"] > 0
 
 
 def test_packing_a_dense_numerator_is_linear():

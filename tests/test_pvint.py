@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import pvcalc.pvint as pvint
 from pvcalc.birational import blow_up, free
 from pvcalc.errors import (ContextError, ExponentError, LogPoleError,
                            ValidationError)
@@ -14,12 +15,14 @@ from pvcalc.motring import (HodgePoly, _lfactor_cached, euler_realize,
                             from_hodge, from_int, lfactor, lpow, numeric_eval,
                             one, parse_ring_elem, render, render_hodge,
                             ring_sum)
-from pvcalc.pvint import (_term, e_invariant, e_padic, invariant_sum,
-                          pv_integral)
-from pvcalc.surface import (Config, Curve, plane, ruled, stratum_class,
-                            validate)
+from pvcalc.models import random_config
+from pvcalc.pvint import (_keeps, _tally_sum, _term, e_invariant, e_padic,
+                          invariant_sum, pv_integral, stratum_sum,
+                          stratum_terms)
+from pvcalc.surface import (Config, Curve, plane, ruled, strata,
+                            stratum_class, validate)
 
-from oracles import e_euler
+from oracles import chain_config, e_euler
 from test_surface import perturbed_configs
 
 F = Fraction
@@ -371,3 +374,218 @@ def test_term_matches_plain_loop(d, classes, data):
     for items, ms in calls:
         assert stored_term(_term, items, ms, d) == \
             stored_term(plain_term, items, ms, d)
+
+
+# ---- the one-pass stratum sum against the term path ------------------------
+
+
+def term_path(strata, curves, d):
+    return ring_sum(stratum_terms(strata, curves, d), d)
+
+
+def stored_sum(fn, strata, curves, d):
+    try:
+        x = fn(strata, curves, d)
+    except (ExponentError, LogPoleError) as exc:
+        return type(exc), str(exc)
+    return list(x.num.items()), x.wpow, x.cyclo
+
+
+ONE = HodgePoly.one()
+# u*v + 1 folds to w^d + 1, which Phi_k divides for each k that divides
+# 2d but not d: a term of it over (w^k - 1) reduces
+P1 = HodgePoly({(1, 1): 1, (0, 0): 1})
+PHI_CLASSES = (P1, HodgePoly({(2, 1): 1, (1, 0): 1}),
+               HodgePoly({(2, 2): 1, (0, 0): 1}))
+CLASSES = st.one_of(HODGE_TERMS.map(lambda t: HodgePoly(dict(t))),
+                    st.sampled_from(PHI_CLASSES))
+# k = |m| dividing d and not, both signs, repeated |m|, and one exponent
+# past the packed-key limit
+EXPONENTS_FOR_SUMS = (1, -1, 2, -2, 3, -3, 4, -4, 5, 6, -6, 8, 12, -12,
+                      2 ** 33)
+# a d near the packed-key limit, for the tests of the guards; the
+# property draws none, as the term path can build a quotient of about d
+# terms there before a guard refuses it (see CHANGES.md)
+HUGE_D = 2 ** 31 - 1
+
+
+@st.composite
+def stratum_data(draw):
+    """(strata, curves, d) as stratum_terms takes them: drawn classes,
+    some of which Phi_k divides, and exponents, some zero; curves with
+    m = 0, some with a zero neighbor exponent.  Half the draws add
+    every term again with the opposite sign, in a drawn order, so the
+    sum is zero."""
+    d = draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+    # each k that divides 2d but not d, for which Phi_k divides P1
+    phi_ks = tuple(k for k in range(2, 2 * d + 1, 2)
+                   if 2 * d % k == 0 and d % k)
+    exps = st.sampled_from(EXPONENTS_FOR_SUMS + phi_ks)
+    some = st.one_of(exps, exps, exps, st.just(0))
+    classes = draw(st.lists(CLASSES, min_size=1, max_size=4))
+    strata = draw(st.lists(
+        st.tuples(st.lists(some, max_size=3).map(tuple),
+                  st.sampled_from(classes)), max_size=8))
+    curves = draw(st.lists(
+        st.tuples(st.sampled_from((0, 0, 2)), st.integers(-3, 3),
+                  st.lists(some, max_size=3)), max_size=3))
+    if draw(st.booleans()):
+        # a class that Phi_k divides over (w^k - 1), beside terms over
+        # other factors, so that the size rule packs the sum
+        strata.append(((draw(st.sampled_from(phi_ks)),), P1))
+        strata += [((k,), ONE) for k in draw(st.lists(
+            st.sampled_from((5, 7, 9, 11)), min_size=2, max_size=4))]
+    if draw(st.booleans()):
+        strata += [(ms, -h) for ms, h in strata]
+        curves += [(m, -s, nbs) for m, s, nbs in curves]
+        strata, curves = draw(st.permutations(strata)), draw(
+            st.permutations(curves))
+    return strata, curves, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(stratum_data())
+@example(([((4,), P1), ((5,), ONE), ((7,), ONE), ((5, 7), ONE)], [], 6))
+def test_stratum_sum_matches_the_term_path(data):
+    _tally_sum.cache_clear()
+    assert stored_sum(stratum_sum, *data) == stored_sum(term_path, *data)
+
+
+def sum_inputs(cfg):
+    """invariant_sum's (strata, curves, d) for cfg."""
+    ex = cfg.exponents
+    return ([(tuple(ex[i] for i in ids), h) for ids, h in strata(cfg)],
+            pvint.curve_data(cfg, [i for i, m in ex.items() if not m]),
+            cfg.d)
+
+
+def routed(monkeypatch, strata, curves, d):
+    """stratum_sum's stored result or error, whether it summed the terms
+    themselves, and what motring._packed_sum returned, or "not called",
+    from a cleared _tally_sum cache."""
+    seen = {"terms": False, "packed": "not called"}
+    terms, packed = pvint.stratum_terms, pvint._packed_sum
+
+    def counting_terms(*args):
+        seen["terms"] = True
+        return terms(*args)
+
+    def counting_packed(*args):
+        seen["packed"] = packed(*args)
+        return seen["packed"]
+
+    _tally_sum.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(pvint, "stratum_terms", counting_terms)
+        patch.setattr(pvint, "_packed_sum", counting_packed)
+        got = stored_sum(stratum_sum, strata, curves, d)
+    assert got == stored_sum(term_path, strata, curves, d)
+    return got, seen["terms"], seen["packed"]
+
+
+def test_stratum_sum_packs_a_chain(monkeypatch):
+    got, summed_terms, packed = routed(monkeypatch,
+                                       *sum_inputs(chain_config(40)))
+    assert not summed_terms and packed == {} and got == ([], 0, ())
+
+
+@pytest.mark.parametrize("m", (4, 12, -4))
+def test_a_class_that_phi_k_divides_goes_to_the_term_path(monkeypatch, m):
+    # at d = 6, (w^6 + 1)(w^6 - 1)/(w^4 - 1) reduces: the term stores
+    # w^8 + w^4 + 1 with no factor, which the packed group would not
+    assert not _keeps(P1, abs(m), 6) and _keeps(ONE, abs(m), 6)
+    assert stratum_terms([((4,), P1)], [], 6)[0].cyclo == ()
+    strata = [((m,), P1), ((5,), ONE), ((7,), ONE), ((5, 7), ONE)]
+    got, summed_terms, packed = routed(monkeypatch, strata, [], 6)
+    assert packed and summed_terms and got[2] == (5, 7)
+
+
+def test_a_nonzero_sum_of_one_group_goes_to_the_term_path(monkeypatch):
+    # every k divides d: the terms share the denominator 1
+    terms = [((), ONE), ((1,), ONE), ((2,), P1), ((-1,), ONE)]
+    got, summed_terms, packed = routed(monkeypatch, terms, [], 2)
+    assert packed is None and summed_terms and got[2] == ()
+    # a zero sum of one group is zero on either path
+    got, summed_terms, packed = routed(
+        monkeypatch, terms + [(ms, -h) for ms, h in terms], [], 2)
+    assert packed == {} and not summed_terms and got == ([], 0, ())
+
+
+def test_a_sum_the_size_rule_keeps_on_dicts(monkeypatch):
+    # 1 + (w - 1)/(w^65536 - 1): the packed root would have 65537
+    # digits, the sparse root has at most 4 monomials
+    got, summed_terms, packed = routed(
+        monkeypatch, [((1,), ONE), ((2 ** 16,), ONE)], [], 1)
+    assert packed is None and summed_terms and got[2] == (2 ** 16,)
+    # random_config(1)'s invariant is a zero sum that the rule keeps on
+    # dicts: the dict tree shows the zero, with no term built
+    got, summed_terms, packed = routed(monkeypatch,
+                                       *sum_inputs(random_config(1)))
+    assert packed == {} and not summed_terms and got == ([], 0, ())
+
+
+def test_a_numerator_longer_than_the_sparse_bound_is_never_packed(
+        monkeypatch):
+    # at d = 1000 each numerator has 1001 digits, and the sparse root
+    # at most 2 monomials per term, times 2 per factor of the lcm
+    u = HodgePoly({(1, 0): 1})
+    got, summed_terms, packed = routed(
+        monkeypatch, [((7,), ONE), ((3,), u)], [], 1000)
+    assert packed == "not called" and summed_terms and got[2] == (3, 7)
+
+
+def test_a_huge_d_packs_no_factor_that_no_term_has(monkeypatch):
+    # with no exponent, no term has (w^d - 1) or a geometric sum, so
+    # nothing of d digits is built: (w^d - 1) alone would take 2^31
+    # bytes here
+    u = HodgePoly({(1, 0): 1})
+    got, summed_terms, packed = routed(
+        monkeypatch, [((), ONE), ((), u)], [], HUGE_D)
+    assert packed is None and summed_terms and len(got[0]) == 2
+    got, summed_terms, packed = routed(
+        monkeypatch, [((), u), ((), -u)], [], HUGE_D)
+    assert packed == {} and not summed_terms and got == ([], 0, ())
+
+
+def test_a_zero_neighbor_exponent_raises_on_the_term_path(monkeypatch):
+    got, summed_terms, packed = routed(monkeypatch, [((), ONE)],
+                                       [(0, 1, [2, 0])], 2)
+    assert got == (LogPoleError,
+                   "lfactor(0): logarithmic pole in the first sum")
+    assert summed_terms and packed == "not called"
+
+
+@pytest.mark.parametrize("strata, d", [
+    # one exponent past the packed key: lfactor's guard
+    ([((2 ** 33,), ONE), ((), ONE)], 1),
+    # a class past it at a large d: from_hodge's guard
+    ([((2,), HodgePoly({(2, 2): 1})), ((), ONE)], HUGE_D),
+    # two factors whose lcm is past it: ring_sum's guard
+    ([((2 ** 31 + 1,), ONE), ((2 ** 31 + 3,), ONE)], 1),
+])
+def test_sums_near_the_key_limit_raise_on_the_term_path(monkeypatch,
+                                                         strata, d):
+    got, summed_terms, packed = routed(monkeypatch, strata, [], d)
+    assert got[0] is ExponentError and "2^32 - 1" in got[1]
+    assert summed_terms and packed == "not called"
+
+
+def test_keeps_matches_sympy_division():
+    sympy = pytest.importorskip("sympy")
+    w = sympy.Symbol("w")
+    classes = [ONE, P1, HodgePoly({(2, 1): 1, (1, 0): 1}),
+               HodgePoly({(2, 2): 1, (0, 0): 1}),
+               HodgePoly({(2, 2): 1, (1, 1): 1, (0, 0): 1}),
+               HodgePoly({(3, 3): 1, (0, 0): -1, (1, 0): 2}),
+               HodgePoly({(3, 3): 1, (2, 2): -1, (1, 1): 1, (0, 0): -1})]
+    for h in classes:
+        for d in (1, 2, 3, 6):
+            comps = {}
+            for (eu, ev), c in h.items():
+                comps[eu - ev] = (comps.get(eu - ev, 0)
+                                  + c * w ** (d * min(eu, ev)))
+            for k in range(1, 25):
+                phi = sympy.Poly(sympy.cyclotomic_poly(k, w), w)
+                divides = all(sympy.Poly(f, w).rem(phi).is_zero
+                              for f in comps.values() if f != 0)
+                assert _keeps(h, k, d) == (not divides), (h, d, k)

@@ -381,7 +381,7 @@ def stored_or_error(fn, *args):
 
 
 @settings(max_examples=150, deadline=None)
-@given(substitution_terms(), st.sampled_from((1, 2)))
+@given(substitution_terms(), st.sampled_from((1, 2, 3)))
 def test_substitution_matches_fraction_reference(terms, d):
     assert stored_or_error(residue_via_substitution, terms, "Ej", d) == \
         stored_or_error(reference_residue_via_substitution, terms, "Ej", d)
