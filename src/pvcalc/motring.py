@@ -16,6 +16,11 @@ plus stripping common powers of w.  The ring is an integral domain
 common denominator is zero exactly when the element is zero; no gcd
 machinery is needed for an exact is_zero.
 
+Every stored numerator keeps its keys ascending, so a stored element
+does not depend on the order in which its terms were met: _normalize
+sorts what it keeps.  The form is still not canonical, as a stored
+(w^k - 1) may share a Phi_n factor with the numerator.
+
 Sums (ring_sum, and so + and -) go over the lcm of the stored
 denominators.  Terms that share a denominator are added directly; the
 groups are combined in a balanced tree, each node lifting its two
@@ -31,10 +36,10 @@ node's denominator is a bitmask over the ranks of the sum's factors,
 one layer per multiplicity, so a node's lcm is a bitwise or and the
 factors a child lacks are the bits the or adds.  A sum whose packed
 root would hold more digits than its sparse root could hold monomials
-keeps kernel dicts and factor-count dicts, whose lift order fixes the
-key order of the stored root (see ring_sum).  _packed_sum applies the
-same plan, size rule and packed tree to numerators that pvint's
-stratum sum packs itself, with no RingElem per term.
+lifts each group's kernel dict straight to the root instead, by the
+bits of the same masks.  _packed_sum applies the same plan, size rule
+and lifts to numerators that pvint's stratum sum packs itself, with no
+RingElem per term.
 
 A w-exponent must fit the c field of the kernel's packed keys, or it
 would carry into the u/v field.  Constructors and sums check the
@@ -45,6 +50,7 @@ up under products, within that field.  A misfit raises ExponentError.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import gcd, inf
 
 from . import _kernel as K
@@ -93,13 +99,18 @@ class HodgePoly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
+        if terms is None:
+            terms = {}
+        elif not isinstance(terms, dict):
+            raise ValueError(f"HodgePoly needs a dict of terms, got {terms!r}")
         data = {}
-        for (eu, ev), coeff in (terms or {}).items():
-            # exactly int, so bool is refused too; a type test is the
-            # cheapest check, and _term builds a class per new stratum
-            if not (type(eu) is type(ev) is type(coeff) is int):
-                raise ValueError(f"Hodge term ({eu!r}, {ev!r}): {coeff!r} "
-                                 "needs int exponents and an int coefficient")
+        for key, coeff in terms.items():
+            # exactly int, so bool is refused too
+            if not (type(key) is tuple and len(key) == 2
+                    and type(key[0]) is type(key[1]) is type(coeff) is int):
+                raise ValueError(f"Hodge term {key!r}: {coeff!r} needs int "
+                                 "exponents and an int coefficient")
+            eu, ev = key
             if coeff:
                 if eu < 0 or ev < 0:
                     raise ValueError("negative exponent in Hodge polynomial")
@@ -258,7 +269,10 @@ def _as_exponent(a, d):
 
 
 def _check_context(d):
-    """Raise unless d is a valid level."""
+    """Raise unless d is a valid level: ValueError unless it is an int,
+    ContextError if it is below 1."""
+    if not _is_int(d):
+        raise ValueError(f"the level d must be an int, got {d!r}")
     if d < 1:
         raise ContextError(f"invalid context d = {d}")
 
@@ -294,7 +308,8 @@ def _normalize(d, num, wpow, cyclo):
     that list, largest k first: once num is not divisible by (w^k - 1)
     it stays so after a division by a smaller factor, so the remaining
     copies of that k are kept untried.  The factors kept come out of
-    the pass in descending order and are stored ascending.
+    the pass in descending order and are stored ascending, and so are
+    the numerator's keys, whatever order the caller's dict had.
 
     The reduced numerator's weight must fit a key's c field: then the
     product of two stored elements, whose weight is at most the sum,
@@ -324,7 +339,7 @@ def _normalize(d, num, wpow, cyclo):
         raise ExponentError(
             f"exponents too large for packed keys (weight {weight} "
             f"exceeds 2^{K.KEY_SHIFT} - 1)")
-    return num, wpow, cyclo
+    return dict(sorted(num.items())), wpow, cyclo
 
 
 def _store(x, d, num, wpow, cyclo):
@@ -348,21 +363,33 @@ def _make(d, num, wpow=0, cyclo=()):
 class RingElem:
     """One element of the level-d realization ring.
 
-    Low-level constructor: takes numerator dict (kernel encoding),
-    denominator w-power and (w^k - 1) factor multiset, checks them,
-    copies the dict and normalizes; the ring's own products, sums and
-    constructors build through _make, which neither checks nor copies.
-    Prefer from_hodge / from_int / lpow / lfactor.  Instances are
-    immutable by convention.
+    Low-level constructor: takes the level d, a numerator dict (kernel
+    encoding: int keys and int coefficients), the denominator w-power
+    and the (w^k - 1) factor multiset, checks them, copies the dict
+    without its zero coefficients and normalizes; the ring's own
+    products, sums and constructors build through _make, which neither
+    checks nor copies.  A value that is not an int, a bool included, a
+    negative w-power or a factor k < 1 is a ValueError, and d < 1 a
+    ContextError.  Prefer from_hodge / from_int / lpow / lfactor.
+    Instances are immutable by convention.
     """
 
     __slots__ = ("d", "num", "wpow", "cyclo")
 
     def __init__(self, d, num, wpow=0, cyclo=()):
         _check_context(d)
-        if wpow < 0 or any(k < 1 for k in cyclo):
+        data = {}
+        for key, coeff in dict(num).items():
+            if not (_is_int(key) and _is_int(coeff)):
+                raise ValueError(f"numerator term {key!r}: {coeff!r} needs "
+                                 "an int key and an int coefficient")
+            if coeff:
+                data[key] = coeff
+        cyclo = tuple(cyclo)
+        if not (_is_int(wpow) and wpow >= 0
+                and all(_is_int(k) and k >= 1 for k in cyclo)):
             raise ValueError("invalid denominator data")
-        _store(self, d, *_normalize(d, dict(num), wpow, tuple(cyclo)))
+        _store(self, d, *_normalize(d, data, wpow, cyclo))
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElem is immutable")
@@ -479,19 +506,20 @@ def from_int(n, d):
 def from_hodge(h, d):
     """Embed a Hodge polynomial: u stays u, v stays v, uv pairs fold
     into w^d."""
+    _check_context(d)
     num = {}
     for (eu, ev), coeff in h.items():
         m = min(eu, ev)
         _check_wdeg(d * m)
         key = K.mkkey(eu - ev, d * m)
         num[key] = num.get(key, 0) + coeff
-    _check_context(d)
     return _make(d, {k: v for k, v in num.items() if v})
 
 
 def lpow(a, d):
     """L^a = w^(a*d); a may be a negative or fractional exponent as
     long as a*d is an integer."""
+    _check_context(d)
     m = _as_exponent(a, d)
     _check_wdeg(abs(m))
     if m >= 0:
@@ -521,20 +549,12 @@ def _lfactor_exp(m, d):
 
 def lfactor(a, d):
     """(L - 1) / (L^a - 1).  A zero exponent is a logarithmic pole."""
+    _check_context(d)
     return _lfactor_exp(_as_exponent(a, d), d)
 
 
 def is_zero(x):
     return x.is_zero()
-
-
-def _counts(cyclo):
-    """{k: multiplicity} of a denominator's factors.  A plain dict, as
-    Counter's operators cost more than the rest of a two-term sum."""
-    out = {}
-    for k in cyclo:
-        out[k] = out.get(k, 0) + 1
-    return out
 
 
 def _cyclo(counts):
@@ -545,53 +565,11 @@ def _cyclo(counts):
     return tuple(cy)
 
 
-def _lcm(ca, cb):
-    """Per-factor max multiplicity of two {k: multiplicity} dicts."""
-    out = dict(ca)
-    for k, mult in cb.items():
-        if mult > out.get(k, 0):
-            out[k] = mult
-    return out
-
-
-def _missing(counts, union):
-    """The factors k, with multiplicity, that union has beyond counts."""
-    if counts == union:
-        return ()
-    return [k for k, mult in union.items()
-            for _ in range(mult - counts.get(k, 0))]
-
-
-def _dict_lift(num, s, ks):
-    """num times w^s * prod over ks of (w^k - 1), as a kernel dict."""
-    if s:
-        num = K.pshift(num, s)
-    for k in ks:
-        num = K.pcyclo_mul(num, k)
-    return num
-
-
-def _tree(nodes):
-    """The root numerator of (wpow, counts, numerator) nodes, on kernel
-    dicts, combined pairwise in a balanced tree; each node lifts its two
-    children to their own lcm and adds them."""
-    while len(nodes) > 1:
-        paired = []
-        for (wa, ca, na), (wb, cb, nb) in zip(nodes[::2], nodes[1::2]):
-            w, cu = max(wa, wb), _lcm(ca, cb)
-            paired.append((w, cu, K.padd(
-                _dict_lift(na, w - wa, _missing(ca, cu)),
-                _dict_lift(nb, w - wb, _missing(cb, cu)))))
-        if len(nodes) % 2:
-            paired.append(nodes[-1])
-        nodes = paired
-    return nodes[0][2]
-
-
 def _packed_tree(nodes, ks, bits):
-    """The same tree on (wpow, mask, packed numerator) nodes: a node's
-    denominator mask is the | of its children's, and each child is
-    lifted by the factors of its bits beyond its own (see klift)."""
+    """The root numerator of (wpow, mask, packed numerator) nodes,
+    combined pairwise in a balanced tree: a node's denominator mask is
+    the | of its children's, and each child is lifted by the factors of
+    its bits beyond its own (see klift) and added."""
     lift = K.klift
     while len(nodes) > 1:
         paired = []
@@ -638,8 +616,8 @@ def _lift_and_add(groups):
     w-power and lcm, and each nonempty group's top w-degree beyond its
     own denominator's degree and its u/v components.  The root's degree
     then gives every group's degree at the root, and so the guard and
-    the size rule of ring_sum; bitmask denominators are built only for
-    a sum that the rule packs."""
+    the size rule of ring_sum, before any bitmask denominator is
+    built."""
     mask, shift = K.KEY_MASK, K.KEY_SHIFT
     nodes, plan, nums = [], [], []
     wp, union = 0, {}
@@ -679,8 +657,7 @@ def _lift_and_add(groups):
         return wp, union, {}
     width = top + dmax + 1
     if not _packs(plan, union, top, width * (tmax - tmin + 1)):
-        return wp, union, _tree([(wpow, _counts(cyclo), num)
-                                 for wpow, cyclo, num in nodes])
+        return wp, union, _dict_root(nodes, union)
     nfactors = sum(union.values())
     bound = sum(sum(map(abs, num.values())) << nfactors - r
                 for r, num in nums)
@@ -721,10 +698,32 @@ def _packed_root(nodes, union, nbytes, width, tmin):
                      tmin)
 
 
+def _dict_root(nodes, union):
+    """The root numerator of (wpow, factors, kernel dict) nodes whose
+    lcm is union: each dict lifted straight to the root, by w to the
+    w-power it lacks and by the factors of the bits its mask lacks (see
+    _masks), and added in."""
+    packed, ks = _masks(nodes, union)
+    wp = full = 0
+    for wpow, mask, _ in packed:
+        wp = max(wp, wpow)
+        full |= mask
+    root = {}
+    for wpow, mask, num in packed:
+        if num:
+            num = K.pshift(num, wp - wpow)
+            lack = full & ~mask
+            while lack:
+                low = lack & -lack
+                num = K.pcyclo_mul(num, ks[low.bit_length() - 1])
+                lack ^= low
+            _add_terms(root, num.items(), 1)
+    return root
+
+
 def _packed_sum(groups, union, nbytes):
-    """(root numerator, keys ascending) of the ring_sum of terms with
-    no w-power given as packed groups, or None where ring_sum would
-    take another path to a nonzero root.
+    """The root numerator of the ring_sum of terms with no w-power given
+    as packed groups, or None where ring_sum's guard would raise.
 
     groups maps each sorted factor tuple to the summed numerator of its
     terms as {t: x}, x the u/v component t packed from c = 0 at
@@ -733,9 +732,8 @@ def _packed_sum(groups, union, nbytes):
     2^(8*nbytes - 1) in absolute value.  The plan, the guard and the
     size rule are _lift_and_add's, read from the components: a nonzero
     component's top digit is its bit length over the digit size, as in
-    kunpack.  A guard that would raise, and a nonzero sum of one group
-    or one that the rule keeps on dicts, give None; the rule's dict
-    tree tells a zero root."""
+    kunpack.  A sum that the rule keeps on dicts is unpacked and lifted
+    as ring_sum lifts it."""
     bits = 8 * nbytes
     top = sum(k * mult for k, mult in union.items())
     nfactors = sum(union.values())
@@ -766,18 +764,13 @@ def _packed_sum(groups, union, nbytes):
         return None
     if not plan:
         return {}
-    if len(groups) == 1:
-        return None
     # in denominator order, as _lift_and_add's, so that the tree pairs
     # groups whose denominators are alike
     groups = sorted(groups.items())
     width = top + dmax + 1
     if not _packs(plan, union, top, width * (tmax - tmin + 1)):
-        # the dict tree stores the key order of its lifts, which only a
-        # nonzero root shows: a zero root is zero on either path
-        root = _tree([(0, _counts(cyclo), _unpacked(comps, nbytes))
-                      for cyclo, comps in groups])
-        return None if root else {}
+        return _dict_root([(0, cyclo, _unpacked(comps, nbytes))
+                           for cyclo, comps in groups], union)
     nodes = [(0, cyclo, sum([x << bits * width * (t - tmin)
                              for t, x in comps.items() if x]))
              for cyclo, comps in groups]
@@ -806,8 +799,9 @@ def ring_sum(terms, d=None):
     other side brings in, while it is still small.  Inner nodes are not
     reduced; the one normalization happens at the root.  The root's
     numerator and denominator are therefore exactly those of lifting
-    every term straight to the full lcm, and the stored result does not
-    depend on the order of the terms.
+    every term straight to the full lcm, and as the stored numerator
+    keeps its keys ascending, the stored result does not depend on the
+    order of the terms.
 
     The tree runs on Kronecker-packed numerators (see the kernel): each
     numerator is one int, with a block of `width` base-2^bits digits per
@@ -824,19 +818,15 @@ def ring_sum(terms, d=None):
     lifted to the root, has at most len(num_g) * 2^(R - r_g) monomials,
     and at most one per w-exponent up to its own top degree in each of
     its components; the sum of these bounds bounds the sparse root.  A
-    sum whose packed root would be larger runs the same tree on kernel
-    dicts instead (a huge (w^k - 1) next to small numerators, say).  A
-    sum of one group lifts nothing.  All give the same root, and every
-    guard runs before anything is lifted.
+    sum whose packed root would be larger lifts each group's kernel dict
+    straight to the root instead (a huge (w^k - 1) next to small
+    numerators, say).  A sum of one group lifts nothing.  All give the
+    same root, and every guard runs before anything is lifted.
 
-    On the packed path a node's denominator is its w-power and a
-    bitmask of its factors in layers (see _masks): its lcm is one |,
-    and a child is lifted by one shift and one subtraction for each
-    bit of lcm & ~own.  The packed root is read back with its keys
-    ascending, whatever the order of the lifts.  The dict path keeps
-    {k: multiplicity} dicts and lifts by their factors in dict order,
-    because there the order of the lifts is the key order of the root,
-    which is stored as it is when no trial division reduces it.
+    A node's denominator is its w-power and a bitmask of its factors in
+    layers (see _masks): its lcm is one |, and a numerator is lifted by
+    one (w^k - 1) for each bit of lcm & ~own, one shift and one
+    subtraction on the packed path and one pcyclo_mul on kernel dicts.
     """
     terms = list(terms)
     if not terms:
@@ -1036,10 +1026,10 @@ def _render(x, wpow):
     factors = []
     if x.wpow:
         factors.append(wpow(x.wpow))
-    counts = _counts(x.cyclo)
-    for k in sorted(counts):
+    # the stored factors ascend, so the copies of each k are adjacent
+    for k, copies in groupby(x.cyclo):
         base = f"({wpow(k)} - 1)"
-        e = counts[k]
+        e = len(list(copies))
         factors.append(base if e == 1 else f"{base}^{e}")
     den = factors[0] if len(factors) == 1 else "(" + " * ".join(factors) + ")"
     return numstr + " / " + den

@@ -13,13 +13,16 @@ those of the strata and curves a blow-up changes, before and after it.
 stratum_sum gives the ring_sum of stratum_terms, counting the same
 strata and curves, without building the terms: it packs each term's
 unreduced numerator, groups them by denominator and normalizes the sum
-once, and hands the sums whose stored form only the terms fix back to
-stratum_terms.  invariant_sum and zeta.residue_via_substitution sum
-through it.  Both work on the integer exponents m = alpha*d, which
-Config.exponents converts once per configuration, and take plain data,
-a stratum as its exponents and class and a curve as its exponent,
-self-intersection and neighbor exponents, so that the after side of a
-blow-up is summed without building the blown-up configuration.  Each
+once.  It hands a sum back to stratum_terms only in four cases: a
+zero neighbor exponent, a key-limit guard, a numerator too long to
+pack, and a term that reduces on its own.  As every stored numerator
+keeps its keys ascending, the two routes store one form.  invariant_sum
+and zeta.residue_via_substitution sum through stratum_sum.  Both work
+on the integer exponents m = alpha*d, which Config.exponents converts
+once per configuration, and take plain data, a stratum as its
+exponents and class and a curve as its exponent, self-intersection and
+neighbor exponents, so that the after side of a blow-up is summed
+without building the blown-up configuration.  Each
 stratum term comes from the _term cache, keyed by its class and
 exponents; a miss builds it from the cached term of its class and
 first exponent.  invariant_sum keeps its result on the Config it sums,
@@ -53,8 +56,8 @@ def invariant_sum(config):
     The result is kept on the Config, as validate keeps its findings,
     so a second call on the same Config (residue_contribution, then
     pole_report) reads it, and it lives as long as the Config.  An
-    equal Config sums afresh: equal Configs can list the ambient
-    class's terms in different orders, which the stored result keeps.
+    equal Config sums afresh and stores the same form, whatever the
+    order of its ambient class's terms.
     """
     held = config.__dict__.get("_invariant")
     if held is None:
@@ -93,7 +96,7 @@ def stratum_terms(strata, curves, d):
     order.  A zero neighbor exponent of a counted m = 0 curve raises
     LogPoleError, as lfactor does.
     """
-    terms = [_term(tuple(h.items()), ms, d) for ms, h in strata if all(ms)]
+    terms = [_term(h, ms, d) for ms, h in strata if all(ms)]
     for m, self_int, nbs in curves:
         if m == 0 and self_int != 0:
             t = from_int(-self_int, d)
@@ -122,11 +125,13 @@ def stratum_sum(strata, curves, d):
     _keeps decides per class and k: Phi_k is prime and, as k does not
     divide d, divides no other factor of the numerator, so no (w^k - 1)
     divides it unless Phi_k divides the class.  Then the groups and lcm
-    are ring_sum's, and so is the packed root.  Every other case sums
-    stratum_terms as before: a zero neighbor exponent (LogPoleError), a
-    term whose weight could pass a packed key's limit (ExponentError), a
-    class that Phi_k divides, and a nonzero sum that ring_sum would
-    store from one group or from kernel dicts.
+    are ring_sum's, and so is the root, packed or on kernel dicts as
+    ring_sum's size rule picks; equal inputs store one form, as the
+    stored keys ascend.  Four cases sum stratum_terms instead: a zero
+    neighbor exponent (LogPoleError), a term or a root past a packed
+    key's limit (ExponentError), a numerator longer than ring_sum's
+    bound on the sparse root, and a nonzero sum with a class that Phi_k
+    divides.
     """
     tally, classes = {}, {}
     for ms, h in strata:
@@ -309,11 +314,10 @@ def _keeps(h, k, d):
 
 
 @lru_cache(maxsize=None)
-def _term(items, ms, d):
-    """from_hodge of the class with these ((eu, ev), coeff) items, times
-    lfactor(m/d) for each m in ms, in order.  Keyed by the items in order,
-    not by a HodgePoly: equal classes can store their terms in different
-    orders, which from_hodge keeps, so they must not share an entry.
+def _term(h, ms, d):
+    """from_hodge(h, d) times lfactor(m/d) for each m in ms, in order.
+    Keyed by the class h itself: equal classes store one form, whatever
+    the order of their terms, so they share an entry.
 
     A miss starts from the cached term of its prefix, the class alone
     when ms has one exponent and the class times its first lfactor when
@@ -324,9 +328,9 @@ def _term(items, ms, d):
     exponent.  The recursion is at most two calls deep, whatever
     len(ms)."""
     if not ms:
-        return from_hodge(HodgePoly(dict(items)), d)
+        return from_hodge(h, d)
     head = 1 if len(ms) > 1 else 0
-    t = _term(items, ms[:head], d)
+    t = _term(h, ms[:head], d)
     for m in ms[head:]:
         t = t * _lfactor_cached(m, d)
     return t

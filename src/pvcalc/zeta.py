@@ -165,12 +165,14 @@ def _induced_config(datum):
 
     The cache key holds the class's terms in order besides the datum:
     equal classes can keep their terms in different orders, which the
-    strata classes and stored terms of the Config keep, so data equal up
-    to that order must not share a Config.  The cache is small: it
-    serves the calls of one datum in a row, and the Config holds its
-    derived views and its invariant alive while it is cached.  Nothing
-    is kept on the datum, whose __dict__ holds only its fields, so once
-    the cache is cleared the same datum object is computed afresh."""
+    Config's strata classes keep and zmot_from_surface hands on in its
+    ZMotDatum, so data equal up to that order must not share a Config.
+    The stored ring elements do not need the key, as their numerators
+    keep their keys ascending.  The cache is small: it serves the calls
+    of one datum in a row, and the Config holds its derived views and
+    its invariant alive while it is cached.  Nothing is kept on the
+    datum, whose __dict__ holds only its fields, so once the cache is
+    cleared the same datum object is computed afresh."""
     return _induced(datum, tuple(datum.surface_hodge.items()))
 
 

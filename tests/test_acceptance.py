@@ -412,7 +412,8 @@ def _criterion_8():
         y = shuffled[0]
         for p in shuffled[1:]:
             y = y * p
-        assert (x.num, x.wpow, x.cyclo) == (y.num, y.wpow, y.cyclo), trial
+        assert (list(x.num.items()), x.wpow, x.cyclo) == \
+            (list(y.num.items()), y.wpow, y.cyclo), trial
         z = x - y
         assert (z.num, z.wpow, z.cyclo) == ({}, 0, ()), trial
         # domain soundness: nonzero times nonzero stays nonzero

@@ -1,12 +1,15 @@
 """Smoke tests of the benches: a bench that times from cold must clear
 what pvcalc keeps on the objects it sums, not only the module caches,
 or it times a lookup; the residue bench must still run the workload's
-op and count what one op builds; and every bench that builds the
-blow-up chain must build the tests' chain_config."""
+op and count what one op builds; every bench that builds the
+blow-up chain must build the tests' chain_config; and the stored-form
+dump must print one line per result."""
 
 import os
 import sys
 
+from pvcalc.models import random_config
+from pvcalc.motring import render
 from pvcalc.pvint import invariant_sum
 from pvcalc.surface import Config, validate
 
@@ -20,6 +23,7 @@ import bench_moves  # noqa: E402
 import bench_residue  # noqa: E402
 import bench_ring  # noqa: E402
 import bench_validate  # noqa: E402
+import dump_forms  # noqa: E402
 import workloads  # noqa: E402  (perfbench's, on the path caches puts it)
 
 
@@ -74,3 +78,24 @@ def test_bench_chains_are_chain_config():
     assert len(made) == 40 and made[-1] == want and list(seconds) == [40]
     [(step, cfg, build_s)] = bench_moves.checkpoints((40,))
     assert step == 40 and cfg == want and build_s > 0
+
+
+def test_dump_forms_prints_one_line_per_result():
+    lines = [dump_forms.line(*result) for result in dump_forms.results(
+        sum_seeds=range(2), delta_seeds=range(1), chain=(5,), nonzero=(5,),
+        residue_seeds=(1,), tiny=True)]
+    fields = [line.split("\t") for line in lines]
+    assert all(len(f) == 5 for f in fields)
+    labels = [f[0] for f in fields]
+    assert len(set(labels)) == len(labels)
+    kinds = {label.split()[0] for label in labels}
+    assert kinds == {"sum", "delta", "chain", "nonzero", "closed", "residue",
+                     "substitution"}
+    x = invariant_sum(random_config(1, max_blowups=10))
+    assert fields[1] == ["sum 1", str(sorted(x.num.items())), str(x.wpow),
+                         str(x.cyclo), render(x)]
+    # each nonzero chain's invariant meets its closed form, byte for byte
+    forms = dict(zip(labels, (f[1:] for f in fields)))
+    for label in labels:
+        if label.startswith("nonzero"):
+            assert forms[label] == forms[label.replace("nonzero", "closed")]

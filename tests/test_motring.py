@@ -176,6 +176,25 @@ def test_public_constructor_checks_its_arguments():
     x = RingElem(1, num)
     num[0] = 5
     assert x.num == {0: 1}
+    # a float or bool level, key, coefficient, w-power or factor, and a
+    # key that is not an int (which & refused with a bare TypeError)
+    for args in ((2, {0: 1.5}), (2, {0: True}), (2, {0.0: 1}),
+                 (2, {(1, 2): 1}), (True, {0: 1}), (2.0, {0: 1}),
+                 (2, {0: 1}, 1.0), (2, {0: 1}, True), (2, {0: 1}, 0, (2.5,)),
+                 (2, {0: 1}, 0, (True,))):
+        with pytest.raises(ValueError):
+            RingElem(*args)
+    assert RingElem(2, {0: 0, 1: 3}).num == {1: 3}
+    assert RingElem(2, {0: 0}).is_zero()
+    for terms in ([((0, 0), 1)], 5, {1: 1}, {(1, 2, 3): 1}):
+        with pytest.raises(ValueError):
+            HodgePoly(terms)
+    # every constructor checks its level the same way
+    for build in (lambda: from_int(1, True), lambda: lpow(1, 2.0),
+                  lambda: lfactor(1, 2.5), lambda: one(True),
+                  lambda: from_hodge(HodgePoly.one(), 2.0)):
+        with pytest.raises(ValueError, match="the level d must be an int"):
+            build()
     for build in (lambda: from_int(1, 0), lambda: lfactor(1, -1),
                   lambda: from_hodge(HodgePoly.one(), 0)):
         with pytest.raises(ContextError, match="invalid context"):
@@ -208,7 +227,8 @@ def test_normalization_strips_wpow():
 def reference_normalize(d, num, wpow, cyclo):
     """_normalize with a {k: multiplicity} dict: trial-divide by each k
     while it divides, largest first, strip the shared w-power, check the
-    weight, and rebuild the sorted factor tuple from the counts."""
+    weight, and rebuild the sorted factor tuple from the counts; the
+    numerator is returned with its keys ascending."""
     if not num:
         return {}, 0, ()
     counts = Counter(cyclo)
@@ -230,7 +250,7 @@ def reference_normalize(d, num, wpow, cyclo):
         raise ExponentError(
             f"exponents too large for packed keys (weight {weight} "
             f"exceeds 2^{K.KEY_SHIFT} - 1)")
-    return num, wpow, tuple(sorted(counts.elements()))
+    return dict(sorted(num.items())), wpow, tuple(sorted(counts.elements()))
 
 
 @st.composite
@@ -628,6 +648,11 @@ def stored(x):
     return x.num, x.wpow, x.cyclo
 
 
+def ordered(x):
+    """The stored form with the numerator's key order."""
+    return list(x.num.items()), x.wpow, x.cyclo
+
+
 @settings(max_examples=80, deadline=None)
 @given(sum_specs())
 @example((3, INNER_REDUCTION_CASE, INNER_REDUCTION_CASE[::-1]))
@@ -654,12 +679,13 @@ SMALL_K = (1, 2, 3, 4, 6)
 
 @st.composite
 def wide_sum_specs(draw):
-    """(d, raw term specs, path): coefficients up to 2^100 of both
+    """(d, raw term specs, path, order): coefficients up to 2^100 of both
     signs, u- and v-components, and one factor repeated 12 to 14 times
     in some terms.  Path "dict" marks a draw where one more term has a
     single huge (w^k - 1) and the others none, so that the packed root
     would be far larger than the sparse one; None leaves the path to
-    the sum.  (A small factor next to the huge one would make the root
+    the sum.  Order is a drawn permutation of the specs, to sum them
+    again in.  (A small factor next to the huge one would make the root
     divisible by w - 1, with a quotient of k terms; the other terms'
     coefficients are then positive, so that no group sums to zero and
     escapes the huge lift.)"""
@@ -679,7 +705,15 @@ def wide_sum_specs(draw):
     if sparse:
         huge = draw(st.sampled_from((2 ** 18, 2 ** 20, 2 ** 22)))
         specs.append((draw(num), draw(st.integers(0, 3)), [huge]))
-    return d, specs, "dict" if sparse else None
+    order = draw(st.permutations(range(len(specs))))
+    return d, specs, "dict" if sparse else None, order
+
+
+def reversed_order(case):
+    """A (d, specs, path) case with the order that sums its specs again
+    in reverse."""
+    d, specs, path = case
+    return d, specs, path, list(range(len(specs)))[::-1]
 
 
 BIG = 2 ** 100
@@ -718,17 +752,19 @@ NESTED_CASE = (1, [({(0, 0): 1}, 0, [4]), ({(0, 0): 1}, 0, [4, 4]),
 
 @settings(max_examples=60, deadline=None)
 @given(wide_sum_specs())
-@example(REPEATED_FACTOR_CASE)
-@example(LAYERED_CASE)
-@example(NESTED_CASE)
-@example(TIGHT_BOUND_CASE)
-@example(SPARSE_LIFT_CASE)
+@example(reversed_order(REPEATED_FACTOR_CASE))
+@example(reversed_order(LAYERED_CASE))
+@example(reversed_order(NESTED_CASE))
+@example(reversed_order(TIGHT_BOUND_CASE))
+@example(reversed_order(SPARSE_LIFT_CASE))
 # the group without factors sums to zero, so nothing is lifted by the
 # huge factor and the packed root is one digit
-@example((1, [({(0, 0): 2}, 0, []), ({(0, 0): -2}, 0, []),
-              ({(0, 0): 1}, 0, [2 ** 18])], None))
+@example(reversed_order((1, [({(0, 0): 2}, 0, []), ({(0, 0): -2}, 0, []),
+                             ({(0, 0): 1}, 0, [2 ** 18])], None)))
 def test_ring_sum_matches_flat_lcm_loop_on_both_paths(case):
-    d, specs, path = case
+    """Both paths store the flat loop's form, keys ascending and in the
+    same order whatever the order of the terms."""
+    d, specs, path, order = case
     terms = [raw_term(d, spec) for spec in specs]
     packs = []
     pack = K.kpack
@@ -737,7 +773,11 @@ def test_ring_sum_matches_flat_lcm_loop_on_both_paths(case):
         got = ring_sum(terms, d)
     finally:
         K.kpack = pack
-    assert stored(got) == stored(flat_ring_sum(terms))
+    again = ring_sum([terms[i] for i in order], d)
+    want = flat_ring_sum(terms)
+    for x in (got, again, want):
+        assert list(x.num) == sorted(x.num)
+    assert ordered(got) == ordered(again) == ordered(want)
     if path is not None:
         assert bool(packs) == (path == "packed")
 

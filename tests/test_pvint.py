@@ -314,16 +314,15 @@ def test_invariant_sum_errors_on_invalid_configs():
             "lfactor(0): logarithmic pole in the first sum"
 
 
-def test_equal_configs_keep_their_own_term_order():
+def test_equal_configs_store_one_form():
     """Configs equal up to the order of the ambient class's terms are
-    equal, but each sum stores the order its own class gives: the
-    second one, summed right after the first, stores what a cold call
-    does."""
+    equal, and their sums store one form, keys ascending, whichever is
+    summed first."""
     forward = HodgePoly({(2, 2): 1, (1, 1): 2, (0, 0): 1})
     backward = HodgePoly(dict(reversed(list(forward.items()))))
     first, second = Config(1, forward), Config(1, backward)
     assert first == second
-    assert list(invariant_sum(first).num.items()) == [(2, 1), (1, 2), (0, 1)]
+    assert list(invariant_sum(first).num.items()) == [(0, 1), (1, 2), (2, 1)]
     assert list(invariant_sum(second).num.items()) == [(0, 1), (1, 2), (2, 1)]
     # a second call on the same Config returns what the first stored
     assert invariant_sum(second) is invariant_sum(second)
@@ -332,10 +331,10 @@ def test_equal_configs_keep_their_own_term_order():
 # ---- the term cache against its plain loop ---------------------------------
 
 
-def plain_term(items, ms, d):
+def plain_term(h, ms, d):
     """_term as a plain loop: from_hodge of the class, then one product
     per exponent, in order."""
-    t = from_hodge(HodgePoly(dict(items)), d)
+    t = from_hodge(h, d)
     for m in ms:
         t = t * _lfactor_cached(m, d)
     return t
@@ -372,8 +371,29 @@ def test_term_matches_plain_loop(d, classes, data):
         min_size=1, max_size=8))
     _term.cache_clear()
     for items, ms in calls:
-        assert stored_term(_term, items, ms, d) == \
-            stored_term(plain_term, items, ms, d)
+        h = HodgePoly(dict(items))
+        assert stored_term(_term, h, ms, d) == \
+            stored_term(plain_term, h, ms, d)
+
+
+def test_equal_classes_share_one_term():
+    """_term is keyed by the class: an equal class whose terms come in
+    another order finds the entry, and a cold call on either stores
+    the same form, keys ascending."""
+    forward = HodgePoly({(2, 1): 1, (0, 0): -2, (1, 0): 3})
+    backward = HodgePoly(dict(reversed(list(forward.items()))))
+    assert forward == backward
+    assert list(forward.items()) != list(backward.items())
+    _term.cache_clear()
+    first = _term(forward, (2, -3), 2)
+    entries = _term.cache_info().currsize
+    assert _term(backward, (2, -3), 2) is first
+    assert _term.cache_info().currsize == entries
+    assert list(first.num) == sorted(first.num)
+    for h in (forward, backward):
+        _term.cache_clear()
+        assert stored_term(_term, h, (2, -3), 2) == \
+            stored_term(plain_term, forward, (2, -3), 2)
 
 
 # ---- the one-pass stratum sum against the term path ------------------------
@@ -500,11 +520,11 @@ def test_a_class_that_phi_k_divides_goes_to_the_term_path(monkeypatch, m):
     assert packed and summed_terms and got[2] == (5, 7)
 
 
-def test_a_nonzero_sum_of_one_group_goes_to_the_term_path(monkeypatch):
+def test_a_sum_of_one_group_is_packed(monkeypatch):
     # every k divides d: the terms share the denominator 1
     terms = [((), ONE), ((1,), ONE), ((2,), P1), ((-1,), ONE)]
     got, summed_terms, packed = routed(monkeypatch, terms, [], 2)
-    assert packed is None and summed_terms and got[2] == ()
+    assert packed and not summed_terms and got[2] == ()
     # a zero sum of one group is zero on either path
     got, summed_terms, packed = routed(
         monkeypatch, terms + [(ms, -h) for ms, h in terms], [], 2)
@@ -516,9 +536,9 @@ def test_a_sum_the_size_rule_keeps_on_dicts(monkeypatch):
     # digits, the sparse root has at most 4 monomials
     got, summed_terms, packed = routed(
         monkeypatch, [((1,), ONE), ((2 ** 16,), ONE)], [], 1)
-    assert packed is None and summed_terms and got[2] == (2 ** 16,)
+    assert packed and not summed_terms and got[2] == (2 ** 16,)
     # random_config(1)'s invariant is a zero sum that the rule keeps on
-    # dicts: the dict tree shows the zero, with no term built
+    # dicts: the dict route shows the zero, with no term built
     got, summed_terms, packed = routed(monkeypatch,
                                        *sum_inputs(random_config(1)))
     assert packed == {} and not summed_terms and got == ([], 0, ())
@@ -541,7 +561,7 @@ def test_a_huge_d_packs_no_factor_that_no_term_has(monkeypatch):
     u = HodgePoly({(1, 0): 1})
     got, summed_terms, packed = routed(
         monkeypatch, [((), ONE), ((), u)], [], HUGE_D)
-    assert packed is None and summed_terms and len(got[0]) == 2
+    assert packed and not summed_terms and len(got[0]) == 2
     got, summed_terms, packed = routed(
         monkeypatch, [((), u), ((), -u)], [], HUGE_D)
     assert packed == {} and not summed_terms and got == ([], 0, ())
