@@ -68,9 +68,9 @@ def time_sweep(pairs, fn):
     best = None
     for _ in range(REPEAT):
         clear_caches()
-        built = {}
-        inputs = [(built.setdefault(id(cfg), fresh(cfg)), c)
-                  for cfg, c in pairs]
+        configs = {id(cfg): cfg for cfg, _ in pairs}
+        built = {i: fresh(cfg) for i, cfg in configs.items()}
+        inputs = [(built[id(cfg)], c) for cfg, c in pairs]
         t0 = time.perf_counter()
         results = [fn(cfg, c) for cfg, c in inputs]
         elapsed = time.perf_counter() - t0

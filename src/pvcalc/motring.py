@@ -313,9 +313,19 @@ def _normalize(d, num, wpow, cyclo):
 
     The reduced numerator's weight must fit a key's c field: then the
     product of two stored elements, whose weight is at most the sum,
-    cannot carry out of the c field."""
+    cannot carry out of the c field.  A division by (w^k - 1) lowers
+    the weight by exactly 2k and stripping w^s by 2s, so a numerator
+    whose weight stays too large after every division and strip is
+    refused before any division is tried, and the weight of the result
+    is counted down, not read again."""
     if not num:
         return {}, 0, ()
+    weight = _weight(num, d)
+    least = weight - 2 * (sum(cyclo) + wpow)
+    if least > K.KEY_MASK:
+        raise ExponentError(
+            f"exponents too large for packed keys (weight at least {least} "
+            f"exceeds 2^{K.KEY_SHIFT} - 1)")
     if cyclo:
         kept = []
         failed = 0          # the last k that did not divide; every k >= 1
@@ -324,6 +334,7 @@ def _normalize(d, num, wpow, cyclo):
                 quo = K.pcyclo_div(num, k)
                 if quo is not None:
                     num = quo
+                    weight -= 2 * k
                     continue
                 failed = k
             kept.append(k)
@@ -334,7 +345,7 @@ def _normalize(d, num, wpow, cyclo):
         if s:
             num = K.pwdiv(num, s)
             wpow -= s
-    weight = _weight(num, d)
+            weight -= 2 * s
     if weight > K.KEY_MASK:
         raise ExponentError(
             f"exponents too large for packed keys (weight {weight} "

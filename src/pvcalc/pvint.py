@@ -15,7 +15,8 @@ strata and curves, without building the terms: it packs each term's
 unreduced numerator, groups them by denominator and normalizes the sum
 once.  It hands a sum back to stratum_terms only in four cases: a
 zero neighbor exponent, a key-limit guard, a numerator too long to
-pack, and a term that reduces on its own.  As every stored numerator
+pack, and a nonzero sum with a class h and factor (w^k - 1) whose
+one-exponent term _term(h, (k,), d) reduces.  As every stored numerator
 keeps its keys ascending, the two routes store one form.  invariant_sum
 and zeta.residue_via_substitution sum through stratum_sum.  Both work
 on the integer exponents m = alpha*d, which Config.exponents converts
@@ -122,16 +123,21 @@ def stratum_sum(strata, curves, d):
 
     The result is ring_sum's whenever the root is zero.  Otherwise it
     is ring_sum's when every term keeps its whole denominator, which
-    _keeps decides per class and k: Phi_k is prime and, as k does not
-    divide d, divides no other factor of the numerator, so no (w^k - 1)
-    divides it unless Phi_k divides the class.  Then the groups and lcm
-    are ring_sum's, and so is the root, packed or on kernel dicts as
-    ring_sum's size rule picks; equal inputs store one form, as the
-    stored keys ascend.  Four cases sum stratum_terms instead: a zero
-    neighbor exponent (LogPoleError), a term or a root past a packed
-    key's limit (ExponentError), a numerator longer than ring_sum's
-    bound on the sparse root, and a nonzero sum with a class that Phi_k
-    divides.
+    the term path decides per class h and factor k: a term can lose a
+    factor only if some _term(h, (k,), d) stores none, that is, if
+    (w^k - 1) divides the class times (w^d - 1).  For in each u/v
+    component every Phi_j that divides (w^d - 1) or a geometric sum has
+    j | d, so the first division by a (w^k - 1) in _term's chain of
+    products needs Phi_j to divide the class for each j | k with j not
+    dividing d, and then (w^k - 1), a product of distinct Phi_j, divides
+    the class times (w^d - 1).  When no term loses a factor, the groups
+    and lcm are ring_sum's, and so is the root, packed or on kernel
+    dicts as ring_sum's size rule picks; equal inputs store one form,
+    as the stored keys ascend.  Four cases sum stratum_terms instead: a
+    zero neighbor exponent (LogPoleError), a term or a root past a
+    packed key's limit (ExponentError), a numerator longer than
+    ring_sum's bound on the sparse root, and a nonzero sum with a class
+    whose one-exponent term stores no factor.
     """
     tally, classes = {}, {}
     for ms, h in strata:
@@ -221,7 +227,7 @@ def _tally_sum(tally, classes, d):
             comps[t] = comps.get(t, 0) + (coeff * p << bits * (c + shift))
     root = _packed_sum(groups, union, nbytes)
     if root is None or root and not all(
-            _keeps(classes[hid], k, d) for (ms, hid), _ in tally
+            _term(classes[hid], (k,), d).cyclo for (ms, hid), _ in tally
             for k in set(_kind(ms, d)[0]) if folds[hid][1]):
         return None
     return _make(d, root, 0, _cyclo(union))
@@ -261,56 +267,6 @@ def _fold(h, d):
     return (max([2 * c + d * abs(t) for t, _, c in monomials], default=0),
             sum([abs(coeff) for _, coeff, _ in monomials]), monomials,
             max([c for _, _, c in monomials], default=0))
-
-
-@lru_cache(maxsize=4096)
-def _keeps(h, k, d):
-    """True unless Phi_k(w) divides from_hodge(h, d) in every u/v
-    component; exact.
-
-    Phi_k divides (w^k - 1), so it divides a component exactly when it
-    divides the component's remainder mod (w^k - 1), whose w-exponents
-    are taken mod k.  Phi_k has its roots on the unit circle and none
-    of them is 1, so it divides no remainder a*w^x and divides
-    a*w^x + b*w^y only when a = b and |x - y| = k/2.  A longer remainder
-    is tried exactly: Phi_k = prod over squarefree e | k of
-    (w^(k/e) - 1)^mu(e), so Phi_k divides f exactly when (w^k - 1)
-    divides f times (w^k - 1)/Phi_k, the factors with mu(e) = -1 over
-    those with mu(e) = 1 and e > 1, whose divisions are exact."""
-    comps = {}
-    for (eu, ev), coeff in h.items():
-        comp = comps.setdefault(eu - ev, {})
-        c = d * min(eu, ev) % k
-        comp[c] = comp.get(c, 0) + coeff
-    num = {}
-    for t, comp in comps.items():
-        rest = [(c, coeff) for c, coeff in comp.items() if coeff]
-        if len(rest) == 1:
-            return True
-        if len(rest) == 2:
-            (x, a), (y, b) = rest
-            if a != b or 2 * abs(x - y) != k:
-                return True
-        elif rest:
-            num.update((K.mkkey(t, c), coeff) for c, coeff in rest)
-    es, p, n = [(1, 1)], 2, k
-    while n > 1:
-        if p * p > n:
-            p = n
-        if n % p == 0:
-            es += [(e * p, -mu) for e, mu in es]
-            while n % p == 0:
-                n //= p
-        p += 1
-    for e, mu in es:
-        if mu < 0:
-            num = K.pcyclo_mul(num, k // e)
-    for e, mu in reversed(es):
-        if mu > 0:
-            num = K.pcyclo_div(num, k // e)
-            if num is None:
-                return True
-    return False
 
 
 @lru_cache(maxsize=None)

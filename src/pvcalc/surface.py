@@ -15,7 +15,6 @@ the same pair stay distinguishable.
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice
 import json
 from math import lcm
 from operator import attrgetter
@@ -183,9 +182,10 @@ class Config(_Frozen):
 
     @cached_property
     def exponents(self):
-        """id -> the integer alpha*d, in id order, built once per
-        Config.  An alpha outside (1/d) Z raises ExponentError, naming
-        the first such curve in id order."""
+        """id -> the integer alpha*d, built once per Config, in id
+        order on a fresh build (a move appends the curves that join).
+        An alpha outside (1/d) Z raises ExponentError, naming the first
+        such curve in id order."""
         d = self.d
         return {c.id: _as_exponent(c.alpha, d) for c in self.curves}
 
@@ -260,21 +260,20 @@ class Config(_Frozen):
         canonical (a, b, index) triples, points_out of self and
         points_in new to the result on its curves, and gone with all
         its points in points_out.  The curves and points that change
-        are placed by bisection; the derived views are self's with
-        local updates, in the key order a fresh build gives, the
-        exponent table too when self has built it; chi, when self knows
-        it, changes by the Euler numbers of what joins and leaves.  The
-        open stratum's class and the connectivity are not carried: the
-        new Config computes them when they are first read.  So
-        the work follows what the move touches, apart from copying
-        tuples and dicts and rebuilding a view that a new key joins
-        other than at its end.
+        are placed by bisection; the derived views are copies of self's
+        with local updates, the exponent table too when self has built
+        it, and keys that join go last, so a view's key order may differ
+        from a fresh build's; chi, when self knows it, changes by the
+        Euler numbers of what joins and leaves.  The open stratum's
+        class and the connectivity are not carried: the new Config
+        computes them when they are first read.  So the work follows
+        what the move touches, apart from copying tuples and dicts.
         """
         old = self.curve_map
-        joining = sorted((c.id, c) for c in curves if c.id not in old)
-        cm = _merged(old, joining)
-        nb = _merged(self.neighbors, [(i, ()) for i, _ in joining])
-        ppc = _merged(self.points_per_curve, [(i, 0) for i, _ in joining])
+        joining = [c.id for c in curves if c.id not in old]
+        cm = dict(old)
+        nb = {**self.neighbors, **dict.fromkeys(joining, ())}
+        ppc = {**self.points_per_curve, **dict.fromkeys(joining, 0)}
         chi = (ambient_hodge.euler() - self.ambient_hodge.euler()
                + len(points_in) - len(points_out))
         lst = list(self.curves)
@@ -287,19 +286,18 @@ class Config(_Frozen):
                 lst.insert(at, c)
             cm[c.id] = c
             chi -= 2 - 2 * c.genus
-        pc = self.pair_counts
-        meeting = {(a, b) for a, b, _ in points_in} - pc.keys()
-        pc = _merged(pc, [(pair, 0) for pair in sorted(meeting)])
+        pc = dict(self.pair_counts)
         pts = list(self.points)
         for p in points_in:
             pts.insert(bisect_left(pts, p), p)
             a, b, _ = p
             ppc[a] += 1
             ppc[b] += 1
-            if not pc[a, b]:
+            n = pc.get((a, b), 0)
+            if not n:
                 nb[a] = _with(nb[a], b)
                 nb[b] = _with(nb[b], a)
-            pc[a, b] += 1
+            pc[a, b] = n + 1
         for p in points_out:
             del pts[bisect_left(pts, p)]
             a, b, _ = p
@@ -322,7 +320,7 @@ class Config(_Frozen):
         if "_chi" in self.__dict__:
             new.__dict__["_chi"] = self._chi + chi
         if "exponents" in self.__dict__:
-            ex = _merged(self.exponents, [(i, 0) for i, _ in joining])
+            ex = dict(self.exponents)
             ex.update((c.id, _as_exponent(c.alpha, self.d)) for c in curves)
             if gone is not None:
                 del ex[gone]
@@ -332,28 +330,6 @@ class Config(_Frozen):
 
 def _curve_id(c):
     return c.id
-
-
-def _merged(d, items):
-    """A copy of d with items, (key, value) pairs with new keys in
-    ascending order, each inserted at its place in d's sorted key order.
-    A dict keeps insertion order, so unless every new key sorts last the
-    copy is rebuilt, in one pass however many keys join."""
-    if not items or not d or next(reversed(d)) < items[0][0]:
-        out = dict(d)
-        out.update(items)
-        return out
-    keys = list(d)
-    rest = iter(d.items())
-    out = {}
-    done = 0
-    for key, value in items:
-        at = bisect_left(keys, key)
-        out.update(islice(rest, at - done))
-        out[key] = value
-        done = at
-    out.update(rest)
-    return out
 
 
 def _with(ids, i):
@@ -448,7 +424,8 @@ def strata(config):
     """Every nonempty stratum of the divisor as (ids, class), in order:
     the open stratum (); each curve minus its points (id,), in id order;
     each meeting pair (a, b) with its count of points, in pair_counts
-    order.  The open stratum's class is the Config's _open view, built
+    order, which is sorted on a fresh build and not always after a
+    move.  The open stratum's class is the Config's _open view, built
     once per Config; curve and point classes are cached by their integer
     signatures, so equal signatures share one HodgePoly."""
     yield (), config._open

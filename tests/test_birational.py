@@ -518,12 +518,13 @@ def move(cfg, kind, i, j):
 
 def check_like_fresh(cfg):
     """cfg equals an equal, freshly constructed Config in value, hash,
-    derived views with their order, findings, centers and fresh ids."""
+    derived views, strata, findings, centers and fresh ids; a move may
+    leave a view's keys in another order than a fresh build's."""
     new = fresh(cfg)
     assert cfg == new and hash(cfg) == hash(new)
     for view in VIEWS:
         got, want = getattr(cfg, view), getattr(new, view)
-        assert got == want and list(got) == list(want), view
+        assert got == want, view
     assert validate(cfg).findings == list(_compute_findings(new))
     assert cfg._connected == new._connected
     assert strata_stored(cfg) == strata_stored(new)
@@ -537,7 +538,8 @@ def check_like_fresh(cfg):
 
 
 def strata_stored(cfg):
-    return [(ids, list(h.items())) for ids, h in strata(cfg)]
+    """cfg's strata with each class's stored terms, sorted by ids."""
+    return sorted((ids, list(h.items())) for ids, h in strata(cfg))
 
 
 def test_moved_configs_compute_connectivity_and_open_class():
@@ -604,7 +606,7 @@ def test_exponents_along_a_move_chain():
     """A Config that blow_up or blow_down builds carries its source's
     exponent table, or builds its own on first use when the source had
     none; along a 200-step chain the table equals a fresh build's,
-    alpha*d of each curve in id order."""
+    alpha*d of each curve."""
     rng = random.Random(2)
     cfg = random_config(3)
     steps = {"up": 0, "down": 0}
@@ -625,5 +627,5 @@ def test_exponents_along_a_move_chain():
 def check_exponents(cfg):
     ex = cfg.exponents
     assert ex == fresh(cfg).exponents
-    assert list(ex) == [c.id for c in cfg.curves]
+    assert sorted(ex) == [c.id for c in cfg.curves]
     assert all(ex[c.id] == c.alpha * cfg.d for c in cfg.curves)

@@ -225,12 +225,19 @@ def test_normalization_strips_wpow():
 
 
 def reference_normalize(d, num, wpow, cyclo):
-    """_normalize with a {k: multiplicity} dict: trial-divide by each k
-    while it divides, largest first, strip the shared w-power, check the
-    weight, and rebuild the sorted factor tuple from the counts; the
-    numerator is returned with its keys ascending."""
+    """_normalize with a {k: multiplicity} dict: refuse a weight that
+    stays too large after every division and strip, trial-divide by
+    each k while it divides, largest first, strip the shared w-power,
+    check the weight, and rebuild the sorted factor tuple from the
+    counts; the numerator is returned with its keys ascending."""
     if not num:
         return {}, 0, ()
+    least = (max(2 * (key & K.KEY_MASK) + d * abs(key >> K.KEY_SHIFT)
+                 for key in num) - 2 * (sum(cyclo) + wpow))
+    if least > K.KEY_MASK:
+        raise ExponentError(
+            f"exponents too large for packed keys (weight at least {least} "
+            f"exceeds 2^{K.KEY_SHIFT} - 1)")
     counts = Counter(cyclo)
     for k in sorted(counts, reverse=True):
         while counts[k]:

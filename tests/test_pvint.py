@@ -6,17 +6,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import pvcalc._kernel as K
 import pvcalc.pvint as pvint
 from pvcalc.birational import blow_up, free
 from pvcalc.errors import (ContextError, ExponentError, LogPoleError,
                            ValidationError)
 from pvcalc.models import candidate_centers
-from pvcalc.motring import (HodgePoly, _lfactor_cached, euler_realize,
-                            from_hodge, from_int, lfactor, lpow, numeric_eval,
-                            one, parse_ring_elem, render, render_hodge,
-                            ring_sum)
+from pvcalc.motring import (HodgePoly, _lfactor_cached, _weight,
+                            euler_realize, from_hodge, from_int, lfactor,
+                            lpow, numeric_eval, one, parse_ring_elem, render,
+                            render_hodge, ring_sum)
 from pvcalc.models import random_config
-from pvcalc.pvint import (_keeps, _tally_sum, _term, e_invariant, e_padic,
+from pvcalc.pvint import (_kind, _tally_sum, _term, e_invariant, e_padic,
                           invariant_sum, pv_integral, stratum_sum,
                           stratum_terms)
 from pvcalc.surface import (Config, Curve, plane, ruled, strata,
@@ -415,8 +416,10 @@ ONE = HodgePoly.one()
 # u*v + 1 folds to w^d + 1, which Phi_k divides for each k that divides
 # 2d but not d: a term of it over (w^k - 1) reduces
 P1 = HodgePoly({(1, 1): 1, (0, 0): 1})
-PHI_CLASSES = (P1, HodgePoly({(2, 1): 1, (1, 0): 1}),
-               HodgePoly({(2, 2): 1, (0, 0): 1}))
+# (u*v)^2 + 1 folds to w^2d + 1: at d = 1, Phi_4 divides it, but
+# (w^4 - 1) does not divide (w^2 + 1)(w - 1), so its term keeps (w^4 - 1)
+P2 = HodgePoly({(2, 2): 1, (0, 0): 1})
+PHI_CLASSES = (P1, HodgePoly({(2, 1): 1, (1, 0): 1}), P2)
 CLASSES = st.one_of(HODGE_TERMS.map(lambda t: HodgePoly(dict(t))),
                     st.sampled_from(PHI_CLASSES))
 # k = |m| dividing d and not, both signs, repeated |m|, and one exponent
@@ -513,11 +516,22 @@ def test_stratum_sum_packs_a_chain(monkeypatch):
 def test_a_class_that_phi_k_divides_goes_to_the_term_path(monkeypatch, m):
     # at d = 6, (w^6 + 1)(w^6 - 1)/(w^4 - 1) reduces: the term stores
     # w^8 + w^4 + 1 with no factor, which the packed group would not
-    assert not _keeps(P1, abs(m), 6) and _keeps(ONE, abs(m), 6)
+    k = abs(m)
+    assert _term(P1, (k,), 6).cyclo == () and _term(ONE, (k,), 6).cyclo == (k,)
     assert stratum_terms([((4,), P1)], [], 6)[0].cyclo == ()
     strata = [((m,), P1), ((5,), ONE), ((7,), ONE), ((5, 7), ONE)]
     got, summed_terms, packed = routed(monkeypatch, strata, [], 6)
     assert packed and summed_terms and got[2] == (5, 7)
+
+
+def test_a_class_that_phi_k_divides_stays_packed_when_its_term_keeps_k(
+        monkeypatch):
+    # Phi_4 divides w^2 + 1, the fold of P2 at d = 1, but the term of P2
+    # over (w^4 - 1) keeps that factor, so the packed root is ring_sum's
+    assert _term(P2, (4,), 1).cyclo == (4,)
+    strata = [((4,), P2), ((5,), ONE), ((7,), ONE), ((5, 7), ONE)]
+    got, summed_terms, packed = routed(monkeypatch, strata, [], 1)
+    assert packed and not summed_terms and got[2] == (4, 5, 7)
 
 
 def test_a_sum_of_one_group_is_packed(monkeypatch):
@@ -590,7 +604,9 @@ def test_sums_near_the_key_limit_raise_on_the_term_path(monkeypatch,
     assert summed_terms and packed == "not called"
 
 
-def test_keeps_matches_sympy_division():
+def test_one_exponent_terms_reduce_as_sympy_divides():
+    """_term(h, (k,), d) with k not dividing d stores no factor exactly
+    when (w^k - 1) divides (w^d - 1) times each u/v component of h."""
     sympy = pytest.importorskip("sympy")
     w = sympy.Symbol("w")
     classes = [ONE, P1, HodgePoly({(2, 1): 1, (1, 0): 1}),
@@ -605,7 +621,49 @@ def test_keeps_matches_sympy_division():
                 comps[eu - ev] = (comps.get(eu - ev, 0)
                                   + c * w ** (d * min(eu, ev)))
             for k in range(1, 25):
-                phi = sympy.Poly(sympy.cyclotomic_poly(k, w), w)
-                divides = all(sympy.Poly(f, w).rem(phi).is_zero
-                              for f in comps.values() if f != 0)
-                assert _keeps(h, k, d) == (not divides), (h, d, k)
+                if d % k == 0:
+                    continue
+                wk = sympy.Poly(w ** k - 1, w)
+                divides = all(
+                    sympy.Poly(f * (w ** d - 1), w).rem(wk).is_zero
+                    for f in comps.values() if f != 0)
+                assert (_term(h, (k,), d).cyclo == ()) == divides, (h, d, k)
+
+
+@st.composite
+def repeating_exponents(draw):
+    """A few exponents drawn from at most three k = |m|, of both signs,
+    so that a k often repeats."""
+    ks = draw(st.lists(st.integers(1, 24), min_size=1, max_size=3))
+    return tuple(draw(st.lists(st.sampled_from(ks + [-k for k in ks]),
+                               min_size=1, max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(CLASSES, st.sampled_from((1, 2, 3, 4, 6, 12)), repeating_exponents())
+@example(P1, 6, (4, -4))
+@example(P1, 6, (5, 12))
+def test_a_term_loses_a_factor_only_where_a_one_exponent_term_does(h, d, ms):
+    """stratum_sum's fallback rule: when a term stores fewer factors
+    than its unreduced denominator has, some k among those factors
+    gives a one-exponent term _term(h, (k,), d) that stores none."""
+    cyclo = _kind(ms, d)[0]
+    if len(_term(h, ms, d).cyclo) < len(cyclo):
+        assert any(_term(h, (k,), d).cyclo == () for k in set(cyclo))
+
+
+def test_an_over_weight_term_is_refused_before_any_division(monkeypatch):
+    # the term of u*v + 1 with exponent 2 at d = 2^31 - 1 has the
+    # numerator w^(2d) - 1 over (w^2 - 1); no quotient of it fits a
+    # packed key, and the quotient by (w^2 - 1) alone has 2^31 terms
+    divide = K.pcyclo_div
+
+    def checked(num, k):
+        if _weight(num, HUGE_D) - 2 * k > K.KEY_MASK:
+            pytest.fail(f"divided a numerator too heavy to store by "
+                        f"(w^{k} - 1)")
+        return divide(num, k)
+
+    monkeypatch.setattr(K, "pcyclo_div", checked)
+    with pytest.raises(ExponentError, match=r"2\^32 - 1"):
+        _term(P1, (2,), HUGE_D)
